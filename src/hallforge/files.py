@@ -112,17 +112,6 @@ def _require_int(doc, name, val) -> int:
 # ---- category spec ----
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class CategorySpec:
     """Validated category description: field, quiver, backend, budgets.
 
@@ -143,8 +132,10 @@ class CategorySpec:
         caps: Caps | None = None,
     ):
         q = _require_int("spec", "field.q", q)
-        if not _is_prime(q):
-            raise SpecError(f"field.q must be prime, got {q}")
+        try:
+            Field(q)
+        except ValueError as e:
+            raise SpecError(f"field.q: {e}")
         self.q = q
         try:
             self.quiver = Quiver(_require_int("spec", "quiver.vertices", vertices), arrows)

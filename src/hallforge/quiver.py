@@ -90,7 +90,7 @@ class Quiver:
 class Rep:
     """Representation: dimension vector plus one matrix per arrow."""
 
-    __slots__ = ("quiver", "field", "dims", "maps", "_enc")
+    __slots__ = ("quiver", "field", "dims", "maps", "_enc", "_inv", "_factors")
 
     def __init__(self, quiver: Quiver, field: Field, dims, maps):
         dims = tuple(int(d) for d in dims)
@@ -110,6 +110,8 @@ class Rep:
         self.dims = dims
         self.maps = maps
         self._enc = None
+        self._inv = None  # rep_invariant(self), once computed
+        self._factors = None  # (caps, decompose(self, caps)), once computed
 
     @classmethod
     def zero(cls, quiver: Quiver, field: Field) -> "Rep":
@@ -526,24 +528,45 @@ def _combine_rect(a: Rep, b: Rep, basis, coeffs) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
+def rep_invariant(m: Rep) -> tuple:
+    """Iso invariant of m, memoised on m: dims, dim End(m), and the pair
+    (dim Hom(S_v, m), dim Hom(m, S_v)) for every simple S_v."""
+    if m._inv is None:
+        homs = []
+        for v in range(1, m.quiver.n + 1):
+            if m.dims[v - 1] == 0:
+                homs.append((0, 0))
+                continue
+            s = Rep.simple(m.quiver, m.field, v)
+            homs.append((hom_dim(s, m), hom_dim(m, s)))
+        m._inv = (m.dims, hom_dim(m, m), tuple(homs))
+    return m._inv
+
+
+def _cached_factors(m: Rep, caps: Caps) -> list[Rep]:
+    """Krull-Schmidt factors of m, memoised on m for the last caps used."""
+    memo = m._factors
+    if memo is None or memo[0] != caps:
+        memo = (caps, decompose(m, caps))
+        m._factors = memo
+    return memo[1]
+
+
 def iso_test(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Isomorphism test: dims, hom-dimension fingerprints, then matching of
+    """Isomorphism test: dims, hom-dimension invariants, then matching of
     Krull-Schmidt factors (with direct hom enumeration on indecomposables)."""
     if a.dims != b.dims:
         return False
     if a.encoding() == b.encoding():
         return True
-    if hom_dim(a, b) != hom_dim(b, a):
+    if rep_invariant(a) != rep_invariant(b):
         return False
-    if hom_dim(a, a) != hom_dim(b, b) or hom_dim(a, a) != hom_dim(a, b):
+    end = rep_invariant(a)[1]
+    if hom_dim(a, b) != end or hom_dim(b, a) != end:
         return False
-    for v in range(1, a.quiver.n + 1):
-        s = Rep.simple(a.quiver, a.field, v)
-        if hom_dim(a, s) != hom_dim(b, s) or hom_dim(s, a) != hom_dim(s, b):
-            return False
     try:
-        fa = decompose(a, caps)
-        fb = decompose(b, caps)
+        fa = _cached_factors(a, caps)
+        fb = _cached_factors(b, caps)
     except EndoSearchCapExceeded:
         return _invertible_hom_exists(a, b, caps)
     if len(fa) != len(fb):
@@ -566,10 +589,13 @@ def iso_test(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
 class Registry:
     """Iso-class registry: stable integer ids in first-encounter order.
 
-    ``iso`` decides isomorphism, ``key`` is a cheap invariant used to narrow
-    candidate classes (dims for reps, degreewise dims for complexes).
-    Registration is serialized; encodings of later witnesses are remembered
-    so repeat classifications hit the fast path.
+    ``iso`` decides isomorphism.  ``key`` is an iso invariant that buckets
+    the classes (``rep_invariant`` for reps, degreewise components for
+    complexes); it is computed once per classified object that misses the
+    encoding table and stored with each registered class, so ``iso`` only
+    runs between objects whose keys agree.  Registration is serialized;
+    encodings of later witnesses are remembered so repeat classifications
+    hit the fast path.
     """
 
     def __init__(self, iso, key):
@@ -638,7 +664,7 @@ def enumerate_reps(
     lexicographic entry order, classes registered on first encounter.
     """
     if registry is None:
-        registry = Registry(lambda x, y: iso_test(x, y, caps), lambda r: r.dims)
+        registry = rep_registry(caps)
     p = field.p
     for dims in dim_vectors_upto(dim_cap):
         sizes = [dims[h - 1] * dims[t - 1] for t, h in quiver.arrows]
@@ -663,4 +689,4 @@ def enumerate_reps(
 
 
 def rep_registry(caps: Caps = DEFAULT_CAPS) -> Registry:
-    return Registry(lambda x, y: iso_test(x, y, caps), lambda r: r.dims)
+    return Registry(lambda x, y: iso_test(x, y, caps), rep_invariant)

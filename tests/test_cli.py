@@ -1,7 +1,11 @@
 """End-to-end command line behavior: documents, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +247,20 @@ def test_exit_2_on_bad_spec(tmp_path, capsys):
     rc = cli.main(["table", "--spec", str(bad), "--dim-cap", "1"])
     assert rc == 2
     assert "SPEC_INVALID" in capsys.readouterr().err
+
+
+def test_exit_2_on_field_order_out_of_range(tmp_path):
+    # 101 is prime but beyond the supported field orders
+    spec = write_spec(tmp_path, dict(A2_ABELIAN, field={"q": 101}))
+    src = str(Path(files.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallforge.cli", "table", "--spec", spec, "--dim-cap", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "SPEC_INVALID" in proc.stderr and "[2, 97]" in proc.stderr
 
 
 def test_exit_2_on_sdh_over_abelian(tmp_path, capsys):

@@ -80,6 +80,15 @@ def test_sqrtext_inverse_and_pow():
     assert SqrtExt(2, 1, 1) / SqrtExt(2, 1, 1) == 1
 
 
+def test_sqrtext_rational_hashes_like_fraction():
+    assert SqrtExt(2, 3, 0) == Fraction(3)
+    assert len({SqrtExt(2, 3, 0), Fraction(3)}) == 1
+    assert len({SqrtExt(2, Fraction(1, 2)), Fraction(1, 2), 0.5}) == 1
+    table = {Fraction(3): "x"}
+    table[SqrtExt(2, 3)] = "y"
+    assert table == {Fraction(3): "y"}
+
+
 def test_sqrtext_rejects_mixed_primes():
     with pytest.raises(ValueError):
         SqrtExt(2, 1) + SqrtExt(3, 1)
@@ -390,6 +399,26 @@ def test_cache_roundtrip_and_determinism():
     s2b = alg2.basis(Rep.simple(A2, F2, 2))
     third = alg2.product(s1b, s2b)
     assert third == first
+
+
+def test_ext_data_repeat_calls_resolve_once():
+    cache = MemoryCache()
+    bk = RepBackend(A2, F2)
+    alg = HallAlgebra(bk, cache=cache)
+    enumerate_reps(A2, F2, (1, 1), registry=bk.registry)
+    ids = range(len(bk.registry))
+    fresh_bk = RepBackend(A2, F2)
+    enumerate_reps(A2, F2, (1, 1), registry=fresh_bk.registry)
+    for a_id in ids:
+        for c_id in ids:
+            first = alg.ext_data(a_id, c_id)
+            expected = (first[0], list(first[1]))
+            first[1].append((99, 1))  # the caller's list is its own
+            assert alg.ext_data(a_id, c_id) == expected
+            # same as an algebra that never saw the pair
+            assert HallAlgebra(fresh_bk).ext_data(a_id, c_id) == expected
+    assert cache.hits + cache.misses == 2 * len(ids) ** 2
+    assert cache.misses == len(ids) ** 2
 
 
 def test_pair_key_content_addressed():

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hallforge.quiver as quiver_mod
 from hallforge.config import Caps
 from hallforge.errors import EnumCapExceeded, ExtEnumCapExceeded
 from hallforge.linalg import Field, Matrix
 from hallforge.quiver import (
     Quiver,
+    Registry,
     Rep,
     decompose,
     dim_vectors_upto,
@@ -25,11 +27,13 @@ from hallforge.quiver import (
     enumerate_reps,
     euler_exponent,
     ext1_space,
+    find_iso,
     hom_basis,
     hom_dim,
     iso_test,
     middle_term,
     proj_indec,
+    rep_invariant,
     rep_registry,
 )
 
@@ -379,3 +383,93 @@ def test_iso_test_is_reflexive_and_respects_homdims(data):
     if iso_test(a, b):
         assert a.dims == b.dims
         assert hom_dim(a, a) == hom_dim(b, b)
+
+
+# ---- invariant-keyed registry and memoised factors ----
+
+
+class RecordingRegistry(Registry):
+    """rep_registry that also remembers every object it classified."""
+
+    def __init__(self, caps=Caps()):
+        super().__init__(lambda x, y: iso_test(x, y, caps), rep_invariant)
+        self.seen = []
+
+    def classify(self, obj):
+        i = super().classify(obj)
+        self.seen.append((obj, i))
+        return i
+
+
+def oracle_partition(objs):
+    """Class index per object, by exhaustive find_iso against one
+    representative of each class found so far."""
+    reps, labels = [], []
+    for obj in objs:
+        for j, r in enumerate(reps):
+            # find_iso finds no isomorphism between zero objects
+            if r.encoding() == obj.encoding() or find_iso(r, obj) is not None:
+                labels.append(j)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append(obj)
+    return labels
+
+
+@pytest.mark.parametrize(
+    "quiver, field, cap, sums",
+    [(A3, F2, (1, 1, 1), True), (A2, F3, (2, 2), False)],
+    ids=["A3-q2-cap111", "A2-q3-cap22"],
+)
+def test_invariant_keyed_partition_matches_exhaustive_iso(quiver, field, cap, sums):
+    reg = enumerate_reps(quiver, field, cap, registry=RecordingRegistry())
+    if sums:
+        # every encoding on this grid is its own class; direct sums in
+        # both orders add isomorphic encodings
+        grid = [reg.object(i) for i in range(len(reg))]
+        for x, y in itertools.product(grid, repeat=2):
+            reg.classify(direct_sum(x, y))
+    objs = [o for o, _ in reg.seen]
+    ids = [i for _, i in reg.seen]
+    assert len(objs) > len(reg)
+    # registry ids are first-encounter, and so are the oracle's labels
+    assert ids == oracle_partition(objs)
+
+
+def test_decompose_once_per_registered_object(monkeypatch):
+    calls = []
+    real = quiver_mod.decompose
+
+    def counting(m, caps=Caps()):
+        calls.append(m)
+        return real(m, caps)
+
+    monkeypatch.setattr(quiver_mod, "decompose", counting)
+    reg = enumerate_reps(A2, F3, (2, 2), registry=RecordingRegistry())
+    registered = [reg.object(i) for i in range(len(reg))]
+    per_obj = [sum(c is r for c in calls) for r in registered]
+    assert max(per_obj) == 1  # decomposed at most once, and some were
+    for r in registered:
+        if r._factors is not None:
+            caps, facs = r._factors
+            assert [f.encoding() for f in facs] == [f.encoding() for f in real(r, caps)]
+
+
+def test_memoised_factors_recomputed_for_other_caps(monkeypatch):
+    S1, S2 = Rep.simple(A2, F2, 1), Rep.simple(A2, F2, 2)
+    a = direct_sum(direct_sum(S1, S2), proj_indec(A2, F2, 1))
+    b = direct_sum(proj_indec(A2, F2, 1), direct_sum(S1, S2))
+    assert a.encoding() != b.encoding()
+    calls = []
+    real = quiver_mod.decompose
+    monkeypatch.setattr(
+        quiver_mod, "decompose", lambda m, caps=Caps(): calls.append(m) or real(m, caps)
+    )
+    assert iso_test(a, b)
+    assert iso_test(a, b)
+    assert sum(c is a for c in calls) == 1
+    other = Caps(max_endo_enum=2**15)
+    assert iso_test(a, b, other)
+    assert sum(c is a for c in calls) == 2
+    assert a._factors[0] == other
