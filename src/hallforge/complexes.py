@@ -88,6 +88,14 @@ class ComplexCategory:
         self._projs = tuple(proj_indec(quiver, field, i) for i in range(1, quiver.n + 1))
         self._rep_cache: dict[tuple[int, ...], Rep] = {}
         self._zero_mults = (0,) * quiver.n
+        # Memos of what depends only on multiplicity vectors, filled on first
+        # use and holding immutable values; a race between threads computes
+        # an entry twice and keeps either copy.
+        self._copies_memo: dict = {}
+        self._offsets_memo: dict = {}
+        self._hom_memo: dict = {}
+        self._zero_memo: dict = {}
+        self._merge_memo: dict = {}
 
     # ---- degrees ----
 
@@ -138,19 +146,77 @@ class ComplexCategory:
         self._rep_cache[mults] = rep
         return rep
 
-    def copies_of(self, mults: tuple[int, ...]) -> list[tuple[int, int]]:
+    def copies_of(self, mults: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """Copy slots (generator, copy index) in canonical order."""
-        return [(i, t) for i in range(1, self.quiver.n + 1) for t in range(mults[i - 1])]
+        hit = self._copies_memo.get(mults)
+        if hit is None:
+            hit = tuple(
+                (i, t) for i in range(1, self.quiver.n + 1) for t in range(mults[i - 1])
+            )
+            self._copies_memo[mults] = hit
+        return hit
 
-    def copy_offsets(self, mults: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def copy_offsets(self, mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Per copy: tuple of fibre offsets at each vertex."""
-        offs = []
-        acc = [0] * self.quiver.n
-        for i, _ in self.copies_of(mults):
-            offs.append(tuple(acc))
-            for v in range(self.quiver.n):
-                acc[v] += self.proj(i).dims[v]
-        return offs
+        hit = self._offsets_memo.get(mults)
+        if hit is None:
+            offs = []
+            acc = [0] * self.quiver.n
+            for i, _ in self.copies_of(mults):
+                offs.append(tuple(acc))
+                for v in range(self.quiver.n):
+                    acc[v] += self.proj(i).dims[v]
+            hit = tuple(offs)
+            self._offsets_memo[mults] = hit
+        return hit
+
+    def hom_basis_of(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple:
+        """Basis of Hom(rep_of(src), rep_of(tgt)), per-vertex matrix tuples."""
+        key = (src, tgt)
+        hit = self._hom_memo.get(key)
+        if hit is None:
+            hit = tuple(hom_basis(self.rep_of(src), self.rep_of(tgt)))
+            self._hom_memo[key] = hit
+        return hit
+
+    def zero_maps(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[Matrix, ...]:
+        """The zero map rep_of(src) -> rep_of(tgt), one matrix per vertex."""
+        key = (src, tgt)
+        hit = self._zero_memo.get(key)
+        if hit is None:
+            s, t = self.rep_of(src).dims, self.rep_of(tgt).dims
+            hit = tuple(Matrix.zeros(self.field, t[v], s[v]) for v in range(self.quiver.n))
+            self._zero_memo[key] = hit
+        return hit
+
+    def merge_order(self, first: tuple[int, ...], second: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Per vertex: the block-sum index of each canonical basis vector.
+
+        rep_of(first + second) lists copies generator by generator, so the
+        block-sum basis of rep_of(first) (+) rep_of(second) (all of first,
+        then all of second) is interleaved; entry j of the vertex-v array is
+        the block-sum position of canonical basis vector j.
+        """
+        key = (first, second)
+        hit = self._merge_memo.get(key)
+        if hit is None:
+            total = tuple(a + b for a, b in zip(first, second))
+            first_dims = self.rep_of(first).dims
+            # block-sum offsets of every copy, by its slot in the canonical
+            # order: copy t of second sits in slot first[i - 1] + t
+            block = dict(zip(self.copies_of(first), self.copy_offsets(first)))
+            for (i, t), off in zip(self.copies_of(second), self.copy_offsets(second)):
+                block[(i, first[i - 1] + t)] = tuple(a + b for a, b in zip(first_dims, off))
+            order = [np.empty(d, dtype=np.intp) for d in self.rep_of(total).dims]
+            for slot, off in zip(self.copies_of(total), self.copy_offsets(total)):
+                for v, d in enumerate(self.proj(slot[0]).dims):
+                    start = block[slot][v]
+                    order[v][off[v]:off[v] + d] = np.arange(start, start + d)
+            for a in order:
+                a.setflags(write=False)
+            hit = tuple(order)
+            self._merge_memo[key] = hit
+        return hit
 
     def mult_dim(self, mults: tuple[int, ...]) -> int:
         return sum(m * self.proj(i + 1).total_dim() for i, m in enumerate(mults))
@@ -239,15 +305,7 @@ class Complex:
             if n1 is None or n1 not in comps:
                 continue
             d = diffs.get(n)
-            if d is None:
-                src = cat.rep_of(comps[n])
-                tgt = cat.rep_of(comps[n1])
-                d = tuple(
-                    Matrix.zeros(cat.field, tgt.dims[v], src.dims[v])
-                    for v in range(cat.quiver.n)
-                )
-            else:
-                d = tuple(d)
+            d = cat.zero_maps(comps[n], comps[n1]) if d is None else tuple(d)
             clean_diffs[n] = d
         self.diffs = clean_diffs
         self._enc = None
@@ -310,14 +368,10 @@ class Complex:
 
     def diff(self, n: int | None) -> tuple[Matrix, ...]:
         """d_n with correct shapes (zero matrices when not stored)."""
-        if n is not None and n in self.diffs:
+        if n in self.diffs:
             return self.diffs[n]
-        src = self.rep(n)
-        tgt = self.rep(self.cat.next_deg(n) if n is not None else None)
-        return tuple(
-            Matrix.zeros(self.cat.field, tgt.dims[v], src.dims[v])
-            for v in range(self.cat.quiver.n)
-        )
+        n1 = self.cat.next_deg(n) if n is not None else None
+        return self.cat.zero_maps(self.mults(n), self.mults(n1))
 
     @property
     def support(self) -> list[int]:
@@ -357,63 +411,20 @@ class Complex:
 # ---- sums, shifts ----
 
 
-def _merge_perm(cat: ComplexCategory, first: tuple[int, ...], second: tuple[int, ...]):
-    """Per-vertex permutation: (rep(first) (+) rep(second)) -> rep(first+second).
-
-    The canonical rep groups copies by generator, so the block-sum basis
-    (all of first, then all of second) gets interleaved.
-    """
-    total = tuple(a + b for a, b in zip(first, second))
-    src_copies = [("f", i, t) for i, t in cat.copies_of(first)] + [
-        ("s", i, t) for i, t in cat.copies_of(second)
-    ]
-    tgt_copies = cat.copies_of(total)
-    # target slot for each source copy
-    tgt_index = {}
-    for k, (i, t) in enumerate(tgt_copies):
-        tgt_index[(i, t)] = k
-    src_to_tgt = []
-    for tag, i, t in src_copies:
-        t2 = t if tag == "f" else first[i - 1] + t
-        src_to_tgt.append(tgt_index[(i, t2)])
-
-    rep_f = cat.rep_of(first)
-    rep_s = cat.rep_of(second)
-    offs_src = cat.copy_offsets(first)
-    offs_src = offs_src + [
-        tuple(rep_f.dims[v] + o for v, o in enumerate(off)) for off in cat.copy_offsets(second)
-    ]
-    offs_tgt = cat.copy_offsets(total)
-    dims_tgt = cat.rep_of(total).dims
-    dims_src = tuple(rep_f.dims[v] + rep_s.dims[v] for v in range(cat.quiver.n))
-    mats = []
-    for v in range(cat.quiver.n):
-        m = np.zeros((dims_tgt[v], dims_src[v]), dtype=np.int64)
-        for k, (tag, i, t) in enumerate(src_copies):
-            d = cat.proj(i).dims[v]
-            if d == 0:
-                continue
-            r0 = offs_tgt[src_to_tgt[k]][v]
-            c0 = offs_src[k][v]
-            m[r0:r0 + d, c0:c0 + d] = np.eye(d, dtype=np.int64)
-        mats.append(Matrix(cat.field, m))
-    return tuple(mats)
-
-
-def _block2_deg(cat, c_mults, a_mults, tl, tr, br):
-    """[[tl, tr], [0, br]] against (rep(c) (+) rep(a)) bases, per vertex."""
+def _merged_diff(cat, first, second, first1, second1, tl, tr, br) -> tuple[Matrix, ...]:
+    """d_n of a degreewise sum: [[tl, tr], [0, br]] from rep(first) (+)
+    rep(second) to rep(first1) (+) rep(second1), gathered into the
+    canonical bases of the summed multiplicity vectors."""
+    cols = cat.merge_order(first, second)
+    rows = cat.merge_order(first1, second1)
     out = []
-    field = cat.field
-    rc = cat.rep_of(c_mults)
-    ra = cat.rep_of(a_mults)
     for v in range(cat.quiver.n):
-        r1, r2 = tl[v].rows, br[v].rows
-        c1, c2 = tl[v].cols, br[v].cols
-        m = np.zeros((r1 + r2, c1 + c2), dtype=np.int64)
-        m[:r1, :c1] = tl[v].a
-        m[:r1, c1:] = tr[v].a
-        m[r1:, c1:] = br[v].a
-        out.append(Matrix(field, m))
+        r1, c1 = tl[v].a.shape
+        block = np.zeros((r1 + br[v].rows, c1 + br[v].cols), dtype=np.int64)
+        block[:r1, :c1] = tl[v].a
+        block[:r1, c1:] = tr[v].a
+        block[r1:, c1:] = br[v].a
+        out.append(Matrix(cat.field, block[np.ix_(rows[v], cols[v])]))
     return tuple(out)
 
 
@@ -428,17 +439,10 @@ def direct_sum_cx(x: Complex, y: Complex) -> Complex:
         n1 = cat.next_deg(n)
         if n1 is None or n1 not in comps:
             continue
-        dx, dy = x.diff(n), y.diff(n)
-        zero_tr = tuple(
-            Matrix.zeros(cat.field, dx[v].rows, dy[v].cols) for v in range(cat.quiver.n)
+        zero_tr = cat.zero_maps(y.mults(n), x.mults(n1))
+        diffs[n] = _merged_diff(
+            cat, x.mults(n), y.mults(n), x.mults(n1), y.mults(n1), x.diff(n), zero_tr, y.diff(n)
         )
-        block = _block2_deg(cat, x.mults(n), y.mults(n), dx, zero_tr, dy)
-        pin = _merge_perm(cat, x.mults(n), y.mults(n))
-        pout = _merge_perm(cat, x.mults(n1), y.mults(n1))
-        d = tuple(
-            pout[v] @ block[v] @ pin[v].transpose() for v in range(cat.quiver.n)
-        )
-        diffs[n] = d
     return Complex(cat, comps, diffs)
 
 
@@ -506,7 +510,7 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
         tgt = y.rep(ykdeg if ykdeg in y.comps else None)
         if src.total_dim() == 0 or tgt.total_dim() == 0:
             continue
-        b = hom_basis(src, tgt)
+        b = cat.hom_basis_of(x.mults(n), y.mults(ykdeg))
         offs = []
         off0 = raw
         for v in range(cat.quiver.n):
@@ -554,6 +558,8 @@ def _compose(field, a, b):
 def _chain_constraint_kernel(x: Complex, y: Complex, k: int, space: _MapSpace):
     """Coefficient vectors of degree-k maps with d_y f + s f d_x = 0,
     s = +1 for odd k and -1 for even k."""
+    if space.nvars == 0:
+        return []
     cat = x.cat
     field = cat.field
     s = 1 if k % 2 == 1 else -1
@@ -577,8 +583,6 @@ def _chain_constraint_kernel(x: Complex, y: Complex, k: int, space: _MapSpace):
             term = _compose(field, f, dxp)
             vec = _raw_vector(tgt_space, nprev, term)
             mat[:, col] = (mat[:, col] + s * vec) % p
-    if space.nvars == 0:
-        return []
     if rows == 0:
         return [v for v in np.eye(space.nvars, dtype=np.int64)]
     return kernel_basis(Matrix(field, mat % p))
@@ -735,7 +739,6 @@ def ext1_card(a: Complex, c: Complex) -> int:
 def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
     """Middle term of the conflation c >-> B ->> a along cocycle f."""
     cat = a.cat
-    field = cat.field
     comps = {}
     for n in set(a.comps) | set(c.comps):
         comps[n] = tuple(u + w for u, w in zip(c.mults(n), a.mults(n)))
@@ -744,17 +747,12 @@ def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
         n1 = cat.next_deg(n)
         if n1 is None or n1 not in comps:
             continue
-        dc, da = c.diff(n), a.diff(n)
         fa = f.get(n)
         if fa is None:
-            fa = tuple(
-                Matrix.zeros(field, c.rep(n1).dims[v], a.rep(n).dims[v])
-                for v in range(cat.quiver.n)
-            )
-        block = _block2_deg(cat, c.mults(n), a.mults(n), dc, fa, da)
-        pin = _merge_perm(cat, c.mults(n), a.mults(n))
-        pout = _merge_perm(cat, c.mults(n1), a.mults(n1))
-        diffs[n] = tuple(pout[v] @ block[v] @ pin[v].transpose() for v in range(cat.quiver.n))
+            fa = cat.zero_maps(a.mults(n), c.mults(n1))
+        diffs[n] = _merged_diff(
+            cat, c.mults(n), a.mults(n), c.mults(n1), a.mults(n1), c.diff(n), fa, a.diff(n)
+        )
     return Complex(cat, comps, diffs)
 
 
@@ -1294,7 +1292,7 @@ def enumerate_complexes(
             n1 = cat.next_deg(n)
             if n1 is None or n1 not in comps:
                 continue
-            hb = hom_basis(cat.rep_of(comps[n]), cat.rep_of(comps[n1]))
+            hb = cat.hom_basis_of(comps[n], comps[n1])
             pairs.append(n)
             hom_bases[n] = hb
             count *= p ** len(hb)

@@ -496,6 +496,9 @@ def find_iso(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> tuple[Matrix, ...] | 
     """An isomorphism a -> b found by enumerating Hom(a, b), or None."""
     if a.dims != b.dims:
         return None
+    if a.total_dim() == 0:
+        # the zero map is the only morphism, and it is invertible here
+        return tuple(Matrix.zeros(a.field, 0, 0) for _ in range(a.quiver.n))
     basis = hom_basis(a, b)
     d = len(basis)
     p = a.field.p

@@ -1,9 +1,11 @@
 """End-to-end command line behavior: documents, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -333,3 +335,60 @@ def test_periodic_verify_suites_all_pass(tmp_path, capsys):
         rc = cli.main(["verify", "--spec", spec, "--dim-cap", "1", suite])
         capsys.readouterr()
         assert rc == 0, suite
+
+
+# ---- dh/sdh tables over bounded complexes ----
+
+A2_BOUNDED = {
+    "format_version": 1,
+    "field": {"q": 2},
+    "quiver": {"vertices": 2, "arrows": [[1, 2]]},
+    "backend": "bounded",
+    "window": [0, 1],
+}
+
+# sha256 of the A2 q=2 window [0,1] cap-1 tables, recorded before the
+# projective-sum memos of ComplexCategory existed
+BOUNDED_TABLE_SHA256 = {
+    "dh": "eda25477da8ab042cc80159fed02e6af90d25da34e8d2ffad26b92d51bf02ce8",
+    "sdh": "f94ae11d733591866c3ca216f561d4ee509f12ff34efe157b6dabc79fcc75cb9",
+}
+
+
+@pytest.mark.parametrize("algebra", ["dh", "sdh"])
+def test_bounded_table_bytes_across_jobs_and_cache_states(tmp_path, algebra):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    digests = []
+    for i, extra in enumerate(([], [], ["--no-cache"], ["--jobs", "3"])):
+        out = tmp_path / f"t{i}.json"
+        rc = cli.main(
+            ["table", "--spec", spec, "--dim-cap", "1", "--algebra", algebra, "--out", str(out)]
+            + extra
+        )
+        assert rc == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    # cold cache, warm cache, no-cache and three threads: the recorded bytes
+    assert digests == [BOUNDED_TABLE_SHA256[algebra]] * 4
+
+
+def test_dh_table_solves_each_projective_hom_space_once(tmp_path, monkeypatch):
+    import hallforge.complexes as cx
+
+    calls = []
+    real = cx.hom_basis
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(cx, "hom_basis", counting)
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    rc = cli.main(
+        ["table", "--spec", spec, "--dim-cap", "1", "--algebra", "dh", "--out", str(tmp_path / "t.json")]
+    )
+    assert rc == 0
+    assert calls
+    # rep_of returns one Rep per multiplicity vector and category, so a
+    # repeated (source, target) pair of objects is a repeated Hom space
+    per_pair = Counter((id(a), id(b)) for a, b in calls)
+    assert max(per_pair.values()) == 1

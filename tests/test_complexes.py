@@ -8,6 +8,8 @@ solving d h + h d = id) which must agree everywhere.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 from hallforge.config import Caps
 from hallforge.errors import EnumCapExceeded, SpecError, WindowOverflow
 from hallforge.linalg import Field, Matrix
-from hallforge.quiver import Quiver
+from hallforge.quiver import Quiver, hom_basis
 from hallforge.complexes import (
+    _merged_diff,
     Complex,
     ComplexCategory,
     contractible_generators,
@@ -706,3 +709,161 @@ def test_random_complex_invariants_bounded(data):
     assert stable_hom_card(x, y) == stable_hom_card(m, y)
     lhs = cat.field.p ** ext1_classes(x, y, enumerate_reps=False).dim
     assert lhs == stable_hom_card(x, shift(y, 1))
+
+
+# ---- per-category memos of the projective-sum layer ----
+
+
+def _mults_upto(cat, copies):
+    return list(itertools.product(range(copies + 1), repeat=cat.quiver.n))
+
+
+def _basis_labels(cat, mults, v):
+    """Canonical fibre basis of rep_of(mults) at vertex v, each vector
+    labelled (generator, copy, position in P_i's fibre)."""
+    return [
+        (i, t, k)
+        for i in range(1, cat.quiver.n + 1)
+        for t in range(mults[i - 1])
+        for k in range(cat.proj(i).dims[v])
+    ]
+
+
+def _merge_perm_matrix(cat, first, second, v):
+    """Permutation matrix from the block-sum basis of rep(first) (+)
+    rep(second) to the canonical basis of rep(first + second): the copies
+    of second are numbered after those of first, generator by generator."""
+    total = tuple(a + b for a, b in zip(first, second))
+    block = _basis_labels(cat, first, v) + [
+        (i, first[i - 1] + t, k) for i, t, k in _basis_labels(cat, second, v)
+    ]
+    canon = _basis_labels(cat, total, v)
+    perm = np.zeros((len(canon), len(block)), dtype=np.int64)
+    for s, label in enumerate(block):
+        perm[canon.index(label), s] = 1
+    return perm
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_projective_memos_match_fresh_computation(p):
+    cat = a2_bounded(p)
+    vecs = _mults_upto(cat, 2)
+    for m in vecs:
+        copies = [(i, t) for i in (1, 2) for t in range(m[i - 1])]
+        assert cat.copies_of(m) == tuple(copies)
+        for v in range(2):
+            labels = _basis_labels(cat, m, v)
+            offs = tuple(
+                sum(1 for lab in labels if lab[:2] < copy) for copy in copies
+            )
+            assert tuple(o[v] for o in cat.copy_offsets(m)) == offs
+    rng = np.random.default_rng(p)
+    for m1, m2 in itertools.product(vecs, repeat=2):
+        fresh = hom_basis(cat.rep_of(m1), cat.rep_of(m2))
+        memo = cat.hom_basis_of(m1, m2)
+        assert [[g.entries() for g in b] for b in memo] == [
+            [g.entries() for g in b] for b in fresh
+        ]
+        assert cat.hom_basis_of(m1, m2) is memo
+        zero = cat.zero_maps(m1, m2)
+        src, tgt = cat.rep_of(m1).dims, cat.rep_of(m2).dims
+        assert [z.a.shape for z in zero] == [(tgt[v], src[v]) for v in range(2)]
+        assert all(z.is_zero() for z in zero)
+        # the gather equals the permutation-matrix product, on random blocks
+        # between (m1 (+) m2) and its swap (m2 (+) m1)
+        tl = tuple(Matrix(cat.field, rng.integers(0, p, (tgt[v], src[v]))) for v in range(2))
+        tr = tuple(Matrix(cat.field, rng.integers(0, p, (tgt[v], tgt[v]))) for v in range(2))
+        br = tuple(Matrix(cat.field, rng.integers(0, p, (src[v], tgt[v]))) for v in range(2))
+        got = _merged_diff(cat, m1, m2, m2, m1, tl, tr, br)
+        for v in range(2):
+            block = np.block([[tl[v].a, tr[v].a], [np.zeros((src[v], src[v]), dtype=np.int64), br[v].a]])
+            pout = _merge_perm_matrix(cat, m2, m1, v)
+            pin = _merge_perm_matrix(cat, m1, m2, v)
+            assert np.array_equal(got[v].a, pout @ block @ pin.T % p)
+
+
+def test_projective_memos_are_per_category():
+    c2, c3 = a2_bounded(2), a2_bounded(3)
+    vecs = _mults_upto(c2, 1)
+    for cat in (c2, c3):
+        for m1, m2 in itertools.product(vecs, repeat=2):
+            cat.hom_basis_of(m1, m2)
+            cat.zero_maps(m1, m2)
+            cat.merge_order(m1, m2)
+
+    def matrices(cat):
+        out = [g for b in cat._hom_memo.values() for mats in b for g in mats]
+        return out + [z for zs in cat._zero_memo.values() for z in zs]
+
+    for cat in (c2, c3):
+        assert {m.field.p for m in matrices(cat)} == {cat.field.p}
+    ids2 = {id(m) for m in matrices(c2)} | {id(m.a) for m in matrices(c2)}
+    ids3 = {id(m) for m in matrices(c3)} | {id(m.a) for m in matrices(c3)}
+    assert not ids2 & ids3
+    orders2 = {id(a) for o in c2._merge_memo.values() for a in o}
+    orders3 = {id(a) for o in c3._merge_memo.values() for a in o}
+    assert not orders2 & orders3
+
+
+def test_memoised_layouts_are_immutable():
+    cat = a2_bounded(2)
+    m1, m2 = (1, 2), (2, 1)
+    copies, offs = cat.copies_of(m1), cat.copy_offsets(m1)
+    order = cat.merge_order(m1, m2)
+    basis = cat.hom_basis_of(m1, m2)
+    zero = cat.zero_maps(m1, m2)
+    with pytest.raises(TypeError):
+        copies[0] = (2, 0)
+    with pytest.raises(TypeError):
+        offs[0] = (5, 5)
+    with pytest.raises(ValueError):
+        order[1][0] = 99
+    with pytest.raises(ValueError):
+        basis[0][1].a[0, 0] = 1
+    with pytest.raises(ValueError):
+        zero[1].a[0, 0] = 1
+    fresh = a2_bounded(2)
+    assert cat.copies_of(m1) == fresh.copies_of(m1)
+    assert cat.copy_offsets(m1) == fresh.copy_offsets(m1)
+    assert all(np.array_equal(a, b) for a, b in zip(order, fresh.merge_order(m1, m2)))
+    assert all(z.is_zero() for z in cat.zero_maps(m1, m2))
+    assert [[g.entries() for g in b] for b in cat.hom_basis_of(m1, m2)] == [
+        [g.entries() for g in b] for b in fresh.hom_basis_of(m1, m2)
+    ]
+
+
+def test_projective_memos_under_concurrent_first_use():
+    cat = a2_bounded(3)
+    vecs = _mults_upto(cat, 1)
+    pairs = list(itertools.product(vecs, repeat=2))
+    results = {}
+
+    def work(w):
+        got = []
+        for m1, m2 in pairs[w % len(pairs):] + pairs[:w % len(pairs)]:
+            basis = cat.hom_basis_of(m1, m2)
+            got.append(((m1, m2), [[g.entries() for g in b] for b in basis]))
+            cat.merge_order(m1, m2)
+            cat.zero_maps(m1, m2)
+        results[w] = dict(got)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    fresh = a2_bounded(3)
+    expect = {
+        (m1, m2): [[g.entries() for g in b] for b in fresh.hom_basis_of(m1, m2)]
+        for m1, m2 in pairs
+    }
+    assert all(r == expect for r in results.values())
+    for (m1, m2), order in cat._merge_memo.items():
+        assert all(np.array_equal(a, b) for a, b in zip(order, fresh.merge_order(m1, m2)))
