@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, algebra=False, dim_cap=False):
         p.add_argument("--spec", required=True, help="category spec file (JSON)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
         p.add_argument(
             "--no-cache",
             action="store_true",
@@ -103,7 +102,7 @@ def cmd_table(args) -> int:
     cache = files.open_cache(spec, no_cache=args.no_cache)
     try:
         handle = files.AlgebraHandle(spec, args.algebra, cache=cache)
-        _emit(files.compute_table(handle, cap, jobs=args.jobs), args.out)
+        _emit(files.compute_table(handle, cap), args.out)
     finally:
         cache.close()
     return 0
@@ -126,7 +125,7 @@ def cmd_verify(args) -> int:
     cap = files.parse_dim_cap(spec, args.dim_cap)
     cache = files.open_cache(spec, no_cache=args.no_cache)
     try:
-        report = run_suite(spec, args.suite, cap, jobs=args.jobs, cache=cache)
+        report = run_suite(spec, args.suite, cap, cache=cache)
     finally:
         cache.close()
     sys.stdout.write(files.dump_doc(report))

@@ -725,7 +725,7 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
             mats = []
             for v, (r, cdim) in enumerate(space.shapes[n]):
                 seg = vec[offs[v]:offs[v] + r * cdim]
-                mats.append(Matrix(field, seg.reshape(r, cdim) if r * cdim else np.zeros((r, cdim), dtype=np.int64)))
+                mats.append(Matrix(field, seg.reshape(r, cdim)))
             if any(not m.is_zero() for m in mats):
                 comp[n] = tuple(mats)
         reps.append(comp)

@@ -662,18 +662,7 @@ def basis_keys(handle: AlgebraHandle, cap: dict) -> list:
 # ---- table files ----
 
 
-def parallel_map(fn, items, jobs=None) -> list:
-    """Map preserving input order; thread fan-out when jobs > 1."""
-    items = list(items)
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
-def compute_table(handle: AlgebraHandle, cap: dict, jobs=None) -> dict:
+def compute_table(handle: AlgebraHandle, cap: dict) -> dict:
     keys = basis_keys(handle, cap)
     classes = []
     for i, key in enumerate(keys):
@@ -681,16 +670,9 @@ def compute_table(handle: AlgebraHandle, cap: dict, jobs=None) -> dict:
         row["id"] = i
         classes.append(row)
     pairs = [(i, j) for i in range(len(keys)) for j in range(len(keys))]
-    if jobs and jobs > 1:
-        # warm every structure constant in deterministic order first, so
-        # registry ids are independent of the parallel schedule
-        for i, j in pairs:
-            handle.product(handle.one_term(keys[i]), handle.one_term(keys[j]))
-    results = parallel_map(
-        lambda ij: handle.product(handle.one_term(keys[ij[0]]), handle.one_term(keys[ij[1]])),
-        pairs,
-        jobs,
-    )
+    results = [
+        handle.product(handle.one_term(keys[i]), handle.one_term(keys[j])) for i, j in pairs
+    ]
     products = [
         {"left": i, "right": j, "terms": element_rows(handle, val)}
         for (i, j), val in zip(pairs, results)

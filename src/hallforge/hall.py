@@ -194,12 +194,7 @@ class RepBackend:
         for (t, h), rows in zip(self.quiver.arrows, maps):
             r, c = dims[h - 1], dims[t - 1]
             mats.append(
-                Matrix(
-                    self.field,
-                    np.array([list(row) for row in rows], dtype=np.int64).reshape(r, c)
-                    if r * c
-                    else np.zeros((r, c), dtype=np.int64),
-                )
+                Matrix(self.field, np.array([list(row) for row in rows], dtype=np.int64).reshape(r, c))
             )
         return Rep(self.quiver, self.field, dims, mats)
 
@@ -259,12 +254,7 @@ class CxBackend:
             for v, rows in enumerate(vmats):
                 r, c = tgt.dims[v], src.dims[v]
                 mats.append(
-                    Matrix(
-                        self.field,
-                        np.array([list(x) for x in rows], dtype=np.int64).reshape(r, c)
-                        if r * c
-                        else np.zeros((r, c), dtype=np.int64),
-                    )
+                    Matrix(self.field, np.array([list(x) for x in rows], dtype=np.int64).reshape(r, c))
                 )
             diffs[n] = tuple(mats)
         return cx.Complex(self.cat, comps, diffs, validate=False)
@@ -377,7 +367,6 @@ class HallAlgebra:
 
         Every call looks its pair up in the cache once; a record's middles
         are decoded and classified only the first time its key is seen.
-        Threads racing on one pair at most compute the same memo twice.
         """
         bk = self.backend
         key = self._pair_keys.get((a_id, c_id))
@@ -445,52 +434,25 @@ def verify_associativity(
     algebra: HallAlgebra,
     ids: list[int],
     twisted: bool = False,
-    jobs: int | None = None,
 ) -> list[dict]:
     """Check ([a][b])[c] = [a]([b][c]) over all triples from `ids`.
 
-    Structure constants for every needed pair are computed first, in
-    deterministic order (so class ids never depend on the check schedule);
-    the triple comparisons are then pure arithmetic and safe to fan out.
+    The products of every listed pair are computed first, in deterministic
+    order; each triple then multiplies one of them by a listed class.
     Returns one record per failing triple.
     """
     prod = algebra.twisted_product if twisted else algebra.product
     one = (lambda i: {i: SqrtExt(algebra.q, 1)}) if twisted else (lambda i: {i: Fraction(1)})
-    # deterministic closure: first all products of listed pairs, then the
-    # pairs those products introduce
     firsts: dict[tuple[int, int], dict] = {}
     for a in ids:
         for b in ids:
             firsts[(a, b)] = prod(one(a), one(b))
+    failures = []
     for a in ids:
         for b in ids:
-            ab = firsts[(a, b)]
             for c in ids:
-                bc = firsts[(b, c)]
-                for mid in sorted(ab):
-                    algebra.ext_data(mid, c)
-                for mid in sorted(bc):
-                    algebra.ext_data(a, mid)
-    failures = []
-
-    def check(a, b, c):
-        left = prod(firsts[(a, b)], one(c))
-        right = prod(one(a), firsts[(b, c)])
-        if not algebra.equal(left, right):
-            return {"triple": [a, b, c], "left": left, "right": right}
-        return None
-
-    triples = [(a, b, c) for a in ids for b in ids for c in ids]
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for res in ex.map(lambda t: check(*t), triples):
-                if res is not None:
-                    failures.append(res)
-    else:
-        for t in triples:
-            res = check(*t)
-            if res is not None:
-                failures.append(res)
+                left = prod(firsts[(a, b)], one(c))
+                right = prod(one(a), firsts[(b, c)])
+                if not algebra.equal(left, right):
+                    failures.append({"triple": [a, b, c], "left": left, "right": right})
     return failures

@@ -23,7 +23,6 @@ assign ids in first-encounter order.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,7 +207,7 @@ def _unvec(field: Field, vec: np.ndarray, offs, shapes) -> tuple[Matrix, ...]:
     out = []
     for v, (r, c) in enumerate(shapes):
         seg = vec[offs[v]:offs[v + 1]]
-        out.append(Matrix(field, seg.reshape(r, c) if r * c else np.zeros((r, c), dtype=np.int64)))
+        out.append(Matrix(field, seg.reshape(r, c)))
     return tuple(out)
 
 
@@ -459,7 +458,7 @@ def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
         for coeffs in itertools.product(range(p), repeat=d):
             if not any(coeffs):
                 continue
-            phi = _combine(m, basis, coeffs)
+            phi = _combine_rect(m, m, basis, coeffs)
             split = try_phi(phi)
             if split is not None:
                 a, b = split
@@ -478,18 +477,6 @@ def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
     raise EndoSearchCapExceeded(
         f"|End| = {p}^{d} exceeds cap {caps.max_endo_enum} and sampling found no splitting"
     )
-
-
-def _combine(m: Rep, basis, coeffs) -> tuple[Matrix, ...]:
-    p = m.field.p
-    out = []
-    for v in range(m.quiver.n):
-        acc = np.zeros((m.dims[v], m.dims[v]), dtype=np.int64)
-        for c, g in zip(coeffs, basis):
-            if c:
-                acc += c * g[v].a
-        out.append(Matrix(m.field, acc % p))
-    return tuple(out)
 
 
 def find_iso(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> tuple[Matrix, ...] | None:
@@ -596,9 +583,9 @@ class Registry:
     the classes (``rep_invariant`` for reps, degreewise components for
     complexes); it is computed once per classified object that misses the
     encoding table and stored with each registered class, so ``iso`` only
-    runs between objects whose keys agree.  Registration is serialized;
-    encodings of later witnesses are remembered so repeat classifications
-    hit the fast path.
+    runs between objects whose keys agree.  Not thread-safe: one registry
+    per thread.  Encodings of later witnesses are remembered so repeat
+    classifications hit the fast path.
     """
 
     def __init__(self, iso, key):
@@ -607,7 +594,6 @@ class Registry:
         self.objs: list = []
         self._by_enc: dict = {}
         self._by_key: dict = {}
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.objs)
@@ -630,20 +616,16 @@ class Registry:
         hit = self._by_enc.get(enc)
         if hit is not None:
             return hit
-        with self._lock:
-            hit = self._by_enc.get(enc)
-            if hit is not None:
-                return hit
-            key = self._key(obj)
-            for i in self._by_key.get(key, []):
-                if self._iso(self.objs[i], obj):
-                    self._by_enc[enc] = i
-                    return i
-            i = len(self.objs)
-            self.objs.append(obj)
-            self._by_enc[enc] = i
-            self._by_key.setdefault(key, []).append(i)
-            return i
+        key = self._key(obj)
+        for i in self._by_key.get(key, []):
+            if self._iso(self.objs[i], obj):
+                self._by_enc[enc] = i
+                return i
+        i = len(self.objs)
+        self.objs.append(obj)
+        self._by_enc[enc] = i
+        self._by_key.setdefault(key, []).append(i)
+        return i
 
 
 def dim_vectors_upto(cap: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -684,9 +666,7 @@ def enumerate_reps(
                 r, c = dims[h - 1], dims[t - 1]
                 seg = flat[pos:pos + sizes[i]]
                 pos += sizes[i]
-                maps.append(
-                    Matrix(field, np.array(seg, dtype=np.int64).reshape(r, c) if sizes[i] else np.zeros((r, c), dtype=np.int64))
-                )
+                maps.append(Matrix(field, np.array(seg, dtype=np.int64).reshape(r, c)))
             registry.classify(Rep(quiver, field, dims, maps))
     return registry
 

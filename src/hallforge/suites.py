@@ -20,7 +20,6 @@ from .files import (
     element_rows,
     grid_class_ids,
     make_report,
-    parallel_map,
     rational_to_str,
 )
 from .hall import SqrtExt, verify_associativity
@@ -75,14 +74,14 @@ def _cap_bounds(cap: dict) -> tuple:
 # ---- individual suites ----
 
 
-def _suite_associativity(spec, cap, jobs, cache):
+def _suite_associativity(spec, cap, cache):
     handle = AlgebraHandle(spec, "hall", cache=cache)
     ids = grid_class_ids(handle, cap)
     failures = []
     checks = 0
     passes = [False] + ([True] if spec.backend != "periodic" else [])
     for twisted in passes:
-        raw = verify_associativity(handle.hall, ids, twisted=twisted, jobs=jobs)
+        raw = verify_associativity(handle.hall, ids, twisted=twisted)
         checks += len(ids) ** 3
         for f in raw:
             a, b, c = f["triple"]
@@ -98,34 +97,31 @@ def _suite_associativity(spec, cap, jobs, cache):
     return checks, failures, {"classes": len(ids), "twisted_included": len(passes) == 2}
 
 
-def _suite_lemma_ext(spec, cap, jobs, cache):
+def _suite_lemma_ext(spec, cap, cache):
     _needs_complexes(spec, "lemma-ext")
     handle = AlgebraHandle(spec, "hall", cache=cache)
     ids = grid_class_ids(handle, cap)
     objs = [handle.backend.object(i) for i in ids]
     p = spec.q
-    pairs = [(i, j) for i in range(len(objs)) for j in range(len(objs))]
-
-    def check(pair):
-        i, j = pair
-        x, y = objs[i], objs[j]
-        n_ext = p ** cx.ext1_classes(x, y, spec.caps, enumerate_reps=False).dim
-        n_stable = cx.stable_hom_card(x, cx.shift(y, 1))
-        if n_ext != n_stable:
-            return {
-                "check": "lemma-ext",
-                "x": handle.key_row(ids[i])["encoding"],
-                "y": handle.key_row(ids[j])["encoding"],
-                "ext_classes": n_ext,
-                "stable_hom": n_stable,
-            }
-        return None
-
-    failures = [r for r in parallel_map(check, pairs, jobs) if r is not None]
-    return len(pairs), failures, {"classes": len(ids)}
+    failures = []
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            n_ext = p ** cx.ext1_classes(x, y, spec.caps, enumerate_reps=False).dim
+            n_stable = cx.stable_hom_card(x, cx.shift(y, 1))
+            if n_ext != n_stable:
+                failures.append(
+                    {
+                        "check": "lemma-ext",
+                        "x": handle.key_row(ids[i])["encoding"],
+                        "y": handle.key_row(ids[j])["encoding"],
+                        "ext_classes": n_ext,
+                        "stable_hom": n_stable,
+                    }
+                )
+    return len(objs) ** 2, failures, {"classes": len(ids)}
 
 
-def _suite_freeness(spec, cap, jobs, cache):
+def _suite_freeness(spec, cap, cache):
     _needs_complexes(spec, "freeness")
     sdh = _sdh_for(spec, cache)
     max_deg, max_tot = _cap_bounds(cap)
@@ -154,7 +150,7 @@ def _conflations(handle, ids):
     return out
 
 
-def _suite_rel_euler(spec, cap, jobs, cache):
+def _suite_rel_euler(spec, cap, cache):
     _needs_complexes(spec, "rel-euler")
     if spec.backend == "periodic":
         raise RelEulerUndefined("relative Euler form undefined on the periodic backend")
@@ -188,7 +184,7 @@ def _suite_rel_euler(spec, cap, jobs, cache):
     return checks, failures, {"conflations": len(conflations), "test_objects": len(tests)}
 
 
-def _suite_toen(spec, cap, jobs, cache):
+def _suite_toen(spec, cap, cache):
     _needs_complexes(spec, "toen")
     if spec.backend == "periodic":
         raise RelEulerUndefined("twisted comparison undefined on the periodic backend")
@@ -212,7 +208,7 @@ def _suite_toen(spec, cap, jobs, cache):
     return res["pairs"], failures, details
 
 
-def _suite_shift_functor(spec, cap, jobs, cache):
+def _suite_shift_functor(spec, cap, cache):
     _needs_complexes(spec, "shift-functor")
     if spec.backend != "periodic":
         raise SpecError("suite 'shift-functor' needs the periodic backend")
@@ -290,26 +286,21 @@ def _suite_shift_functor(spec, cap, jobs, cache):
     elems = [sdh.basis(sdh.torus.zero(), m) for m in sample]
     elems += [sdh.torus_element(unit_exps[g]) for g in range(rank)]
 
-    def check(pair):
-        i, j = pair
-        x, y = elems[i], elems[j]
-        lhs = sdh.pushforward_shift(sdh.product(x, y), 1)
-        rhs = sdh.product(sdh.pushforward_shift(x, 1), sdh.pushforward_shift(y, 1))
-        if not sdh.equal(lhs, rhs):
-            return {
-                "check": "shift-multiplicative",
-                "x": sanitize(x),
-                "y": sanitize(y),
-                "lhs": sanitize(lhs),
-                "rhs": sanitize(rhs),
-            }
-        return None
-
-    pairs = [(i, j) for i in range(len(elems)) for j in range(len(elems))]
-    for res in parallel_map(check, pairs, jobs):
-        checks += 1
-        if res is not None:
-            failures.append(res)
+    for x in elems:
+        for y in elems:
+            checks += 1
+            lhs = sdh.pushforward_shift(sdh.product(x, y), 1)
+            rhs = sdh.product(sdh.pushforward_shift(x, 1), sdh.pushforward_shift(y, 1))
+            if not sdh.equal(lhs, rhs):
+                failures.append(
+                    {
+                        "check": "shift-multiplicative",
+                        "x": sanitize(x),
+                        "y": sanitize(y),
+                        "lhs": sanitize(lhs),
+                        "rhs": sanitize(rhs),
+                    }
+                )
     return checks, failures, {"classes": len(sample), "torus_rank": rank}
 
 
@@ -323,12 +314,12 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(spec: CategorySpec, suite: str, cap: dict, jobs=None, cache=None) -> dict:
+def run_suite(spec: CategorySpec, suite: str, cap: dict, cache=None) -> dict:
     """Run one named suite and wrap the outcome in a Report document."""
     if suite not in SUITES:
         raise SpecError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
     t0 = time.perf_counter()
-    checks, failures, details = _SUITE_FNS[suite](spec, cap, jobs, cache)
+    checks, failures, details = _SUITE_FNS[suite](spec, cap, cache)
     report = make_report(suite, spec, checks, failures, time.perf_counter() - t0, details)
     report["dim_cap"] = cap["raw"]
     return report

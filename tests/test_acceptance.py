@@ -77,7 +77,7 @@ def test_criterion_01_hall_associativity(report):
     cxal = HallAlgebra(CxBackend(a1z2()))
     reg2 = cx.enumerate_complexes(a1z2(), max_degree_dim=1, registry=cxal.backend.registry)
     ids2 = list(range(len(reg2)))
-    fails_cx = verify_associativity(cxal, ids2, jobs=2)
+    fails_cx = verify_associativity(cxal, ids2)
     n_cx = len(ids2) ** 3
     cx_time = time.perf_counter() - t1
 

@@ -119,14 +119,14 @@ def test_table_a1_cap1_is_2x2(tmp_path):
 def test_table_determinism_across_cache_states(tmp_path):
     spec = write_spec(tmp_path, A2_ABELIAN)
     outs = []
-    for i, extra in enumerate(([], [], ["--no-cache"], ["--jobs", "4"])):
+    for i, extra in enumerate(([], [], ["--no-cache"])):
         out = tmp_path / f"t{i}.json"
         rc = cli.main(
             ["table", "--spec", spec, "--dim-cap", "1,1", "--out", str(out)] + extra
         )
         assert rc == 0
         outs.append(out.read_bytes())
-    assert len(set(outs)) == 1  # cold cache, warm cache, no-cache, jobs: same bytes
+    assert len(set(outs)) == 1  # cold cache, warm cache, no-cache: same bytes
 
 
 def test_table_sdh_commutator_row(tmp_path):
@@ -210,7 +210,7 @@ def test_verify_pass_prints_report(tmp_path, capsys):
 def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     spec = write_spec(tmp_path, A2_ABELIAN)
 
-    def fake_run_suite(spec_obj, suite, cap, jobs=None, cache=None):
+    def fake_run_suite(spec_obj, suite, cap, cache=None):
         return {
             "format_version": 1,
             "kind": "report",
@@ -305,6 +305,21 @@ def test_exit_2_on_shift_suite_bounded(tmp_path):
     assert rc == 2
 
 
+def test_exit_2_on_removed_jobs_flag(tmp_path):
+    spec = write_spec(tmp_path, A2_ABELIAN)
+    src = str(Path(files.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in (["table"], ["verify", "associativity"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallforge.cli", *command, "--spec", spec,
+             "--dim-cap", "1,1", "--jobs", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, command
+        assert "Traceback" not in proc.stderr
+        assert "--jobs" in proc.stderr
+
+
 def test_exit_3_on_cap_breach(tmp_path, capsys):
     doc = dict(A2_ABELIAN, caps={"max_enum": 2})
     spec = write_spec(tmp_path, doc)
@@ -337,7 +352,7 @@ def test_periodic_verify_suites_all_pass(tmp_path, capsys):
         assert rc == 0, suite
 
 
-# ---- dh/sdh tables over bounded complexes ----
+# ---- pinned artifact bytes; dh/sdh tables over bounded complexes ----
 
 A2_BOUNDED = {
     "format_version": 1,
@@ -354,12 +369,20 @@ BOUNDED_TABLE_SHA256 = {
     "sdh": "f94ae11d733591866c3ca216f561d4ee509f12ff34efe157b6dabc79fcc75cb9",
 }
 
+# sha256 of dump_doc(report_body(report)), recorded when `verify` still
+# offered a thread fan-out, so the serial loops must reproduce those bytes
+REPORT_BODY_SHA256 = {
+    "associativity": "2bbe299454cabb32b1b370906d0bafbb3a7a1c727745f9af173e2f959a80cab7",
+    "lemma-ext": "55111abfafe26d0c237ed3ae42d71a9255902d3af0d2e3abb180fd9e2b2a6c0f",
+    "shift-functor": "98e16c360798ba8a8abbf511008bd9bf8247fd4f578fdbe40ac4789754375121",
+}
+
 
 @pytest.mark.parametrize("algebra", ["dh", "sdh"])
-def test_bounded_table_bytes_across_jobs_and_cache_states(tmp_path, algebra):
+def test_bounded_table_bytes_across_cache_states(tmp_path, algebra):
     spec = write_spec(tmp_path, A2_BOUNDED)
     digests = []
-    for i, extra in enumerate(([], [], ["--no-cache"], ["--jobs", "3"])):
+    for i, extra in enumerate(([], [], ["--no-cache"])):
         out = tmp_path / f"t{i}.json"
         rc = cli.main(
             ["table", "--spec", spec, "--dim-cap", "1", "--algebra", algebra, "--out", str(out)]
@@ -367,8 +390,27 @@ def test_bounded_table_bytes_across_jobs_and_cache_states(tmp_path, algebra):
         )
         assert rc == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    # cold cache, warm cache, no-cache and three threads: the recorded bytes
-    assert digests == [BOUNDED_TABLE_SHA256[algebra]] * 4
+    # cold cache, warm cache and no-cache: the recorded bytes
+    assert digests == [BOUNDED_TABLE_SHA256[algebra]] * 3
+
+
+@pytest.mark.parametrize(
+    "suite, doc, cap",
+    [
+        ("associativity", A2_ABELIAN, "1,1"),
+        ("lemma-ext", A1_PERIODIC, "1"),
+        ("shift-functor", A1_PERIODIC, "1"),
+    ],
+    ids=["associativity", "lemma-ext", "shift-functor"],
+)
+def test_verify_report_body_bytes(tmp_path, capsys, suite, doc, cap):
+    spec = write_spec(tmp_path, doc)
+    out = tmp_path / "r.json"
+    rc = cli.main(["verify", "--spec", spec, "--dim-cap", cap, suite, "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    body = files.dump_doc(files.report_body(json.loads(out.read_text())))
+    assert hashlib.sha256(body.encode()).hexdigest() == REPORT_BODY_SHA256[suite]
 
 
 def test_dh_table_solves_each_projective_hom_space_once(tmp_path, monkeypatch):

@@ -436,13 +436,12 @@ def test_table_a2_contains_simple_product_row():
     assert all(tuple(t["encoding"][0]) == (1, 1) for t in row["terms"])
 
 
-def test_table_bytes_deterministic_and_jobs_independent():
+def test_table_bytes_deterministic_across_fresh_handles():
     spec = CategorySpec.from_dict(a2_spec())
     texts = []
-    for jobs in (None, 3):
+    for _ in range(2):
         handle = AlgebraHandle(spec, "hall")
-        table = compute_table(handle, parse_dim_cap(spec, "1,1"), jobs=jobs)
-        texts.append(dump_doc(table))
+        texts.append(dump_doc(compute_table(handle, parse_dim_cap(spec, "1,1"))))
     assert texts[0] == texts[1]
 
 

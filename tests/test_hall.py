@@ -296,14 +296,6 @@ def test_associativity_a2_all_classes():
     assert verify_associativity(alg, ids, twisted=True) == []
 
 
-def test_associativity_parallel_matches():
-    bk = RepBackend(A2, F2)
-    alg = HallAlgebra(bk)
-    enumerate_reps(A2, F2, (1, 1), registry=bk.registry)
-    ids = list(range(5))
-    assert verify_associativity(alg, ids, jobs=3) == []
-
-
 # ---- complex backend ----
 
 
@@ -433,9 +425,23 @@ def test_pair_key_content_addressed():
 
 def test_backend_decode_inverts_encode():
     bk = RepBackend(A2, F3)
-    p1 = proj_indec(A2, F3, 1)
-    assert bk.decode(bk.encode(p1)).encoding() == p1.encoding()
-    cat = ComplexCategory(A1, F2, "periodic", period=2)
-    cbk = CxBackend(cat)
-    K = contractible_generators(cat)["P1@0"]
-    assert cbk.decode(cbk.encode(K)).encoding() == K.encoding()
+    # S1, S2 and 0 have arrow matrices of shape (0, 1), (1, 0) and (0, 0);
+    # Rep rejects a decoded matrix of the wrong shape
+    for m in (
+        proj_indec(A2, F3, 1),
+        Rep.simple(A2, F3, 1),
+        Rep.simple(A2, F3, 2),
+        Rep.zero(A2, F3),
+    ):
+        assert bk.decode(bk.encode(m)).encoding() == m.encoding()
+    periodic = ComplexCategory(A1, F2, "periodic", period=2)
+    # P2 on A2 is zero at vertex 1, so its differential blocks there are 0 x 0
+    bounded = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+    for cat, gen in ((periodic, "P1@0"), (bounded, "P2@0")):
+        cbk = CxBackend(cat)
+        K = contractible_generators(cat)[gen]
+        back = cbk.decode(cbk.encode(K))
+        assert back.encoding() == K.encoding()
+        assert {n: [x.a.shape for x in d] for n, d in back.diffs.items()} == {
+            n: [x.a.shape for x in d] for n, d in K.diffs.items()
+        }
