@@ -44,7 +44,20 @@ from .errors import (
     WindowOverflow,
 )
 from .linalg import Field, Matrix, kernel_basis, rank, rref, solve, solve_matrix
-from .quiver import Quiver, Registry, Rep, direct_sum, find_iso, hom_basis, proj_indec
+from .quiver import (
+    Quiver,
+    Registry,
+    Rep,
+    _combine_rect,
+    _image_kernel_cols,
+    _power_eventual,
+    _sub_rep,
+    _unvec,
+    direct_sum,
+    find_iso,
+    hom_basis,
+    proj_indec,
+)
 
 
 class ComplexCategory:
@@ -125,10 +138,6 @@ class ComplexCategory:
         return self.wrap(n - 1)
 
     # ---- projective bookkeeping ----
-
-    @property
-    def num_gens(self) -> int:
-        return self.quiver.n
 
     def proj(self, i: int) -> Rep:
         return self._projs[i - 1]
@@ -272,12 +281,18 @@ def contractible_generators(cat: ComplexCategory) -> dict[str, "Complex"]:
         degs = range(cat.period)
     for n in degs:
         for i in range(1, cat.quiver.n + 1):
-            out[f"P{i}@{n}"] = cat.contractible_gen(i, n)
+            out[generator_key(i, n)] = cat.contractible_gen(i, n)
     return out
 
 
 def generator_key(i: int, n: int) -> str:
     return f"P{i}@{n}"
+
+
+def _parse_generator_key(key: str) -> tuple[int, int]:
+    """(i, n) of a generator key made by generator_key."""
+    head, n = key.split("@")
+    return int(head[1:]), int(n)
 
 
 class Complex:
@@ -484,7 +499,7 @@ class _MapSpace:
     bases: dict  # n -> list of vertex-matrix tuples (hom basis at degree n)
     var_index: dict  # (n, j) -> column
     nvars: int
-    raw_offsets: dict  # n -> per-vertex offset into the raw vector
+    raw_offsets: dict  # n -> per-vertex offsets into the raw vector, then the end
     raw_dim: int
     shapes: dict  # n -> per-vertex (rows, cols)
 
@@ -511,12 +526,11 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
         if src.total_dim() == 0 or tgt.total_dim() == 0:
             continue
         b = cat.hom_basis_of(x.mults(n), y.mults(ykdeg))
-        offs = []
-        off0 = raw
+        offs = [raw]
         for v in range(cat.quiver.n):
-            offs.append(raw)
             raw += tgt.dims[v] * src.dims[v]
-        if raw == off0 and not b:
+            offs.append(raw)
+        if raw == offs[0] and not b:
             continue
         bases[n] = b
         raw_offsets[n] = tuple(offs)
@@ -536,9 +550,7 @@ def _raw_vector(space: _MapSpace, n: int, mats) -> np.ndarray:
         return vec
     offs = space.raw_offsets[n]
     for v, m in enumerate(mats):
-        r, c = space.shapes[n][v]
-        if r * c:
-            vec[offs[v]:offs[v] + r * c] = m.a.reshape(-1)
+        vec[offs[v]:offs[v + 1]] = m.a.reshape(-1)
     return vec
 
 
@@ -588,20 +600,15 @@ def _chain_constraint_kernel(x: Complex, y: Complex, k: int, space: _MapSpace):
     return kernel_basis(Matrix(field, mat % p))
 
 
-def _coeffs_to_components(space: _MapSpace, field: Field, coeffs: np.ndarray) -> dict:
+def _coeffs_to_components(x: Complex, y: Complex, space: _MapSpace, coeffs: np.ndarray) -> dict:
+    """The degree-0 map x -> y with these hom-basis coefficients, as
+    degree -> vertex matrices (degrees where it vanishes left out)."""
     out = {}
-    p = field.p
     for n in space.degrees:
-        mats = []
-        for v, (r, c) in enumerate(space.shapes[n]):
-            acc = np.zeros((r, c), dtype=np.int64)
-            for j, b in enumerate(space.bases[n]):
-                cf = int(coeffs[space.var_index[(n, j)]])
-                if cf:
-                    acc += cf * b[v].a
-            mats.append(Matrix(field, acc % p))
+        cfs = [coeffs[space.var_index[(n, j)]] for j in range(len(space.bases[n]))]
+        mats = _combine_rect(x.rep(n), y.rep(n), space.bases[n], cfs)
         if any(not m.is_zero() for m in mats):
-            out[n] = tuple(mats)
+            out[n] = mats
     return out
 
 
@@ -609,7 +616,7 @@ def hom_chain_basis(x: Complex, y: Complex) -> list[dict]:
     """Basis of chain maps x -> y, each a dict degree -> vertex matrices."""
     space = _map_space(x, y, 0)
     ker = _chain_constraint_kernel(x, y, 0, space)
-    return [_coeffs_to_components(space, x.cat.field, v) for v in ker]
+    return [_coeffs_to_components(x, y, space, v) for v in ker]
 
 
 def hom_dim_cx(x: Complex, y: Complex) -> int:
@@ -721,19 +728,11 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
                 vec = (vec + cf * zcols[:, j]) % p
         comp = {}
         for n in space.degrees:
-            offs = space.raw_offsets[n]
-            mats = []
-            for v, (r, cdim) in enumerate(space.shapes[n]):
-                seg = vec[offs[v]:offs[v] + r * cdim]
-                mats.append(Matrix(field, seg.reshape(r, cdim)))
+            mats = _unvec(field, vec, space.raw_offsets[n], space.shapes[n])
             if any(not m.is_zero() for m in mats):
-                comp[n] = tuple(mats)
+                comp[n] = mats
         reps.append(comp)
     return CxExt1(dim, reps)
-
-
-def ext1_card(a: Complex, c: Complex) -> int:
-    return a.cat.field.p ** ext1_classes(a, c, enumerate_reps=False).dim
 
 
 def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
@@ -803,7 +802,6 @@ def is_contractible(x: Complex) -> bool:
     cat = x.cat
     field = cat.field
     space = _map_space(x, x, 0)
-    hspace = _map_space(x, x, -1)
     cols = _homotopy_image_columns(x, x, 0, space)
     target = np.zeros(space.raw_dim, dtype=np.int64)
     for n in x.comps:
@@ -998,52 +996,25 @@ def is_minimal(x: Complex) -> bool:
 # ---- decomposition and isomorphism ----
 
 
-def _chain_endo_combine(x: Complex, basis: list[dict], coeffs) -> dict:
-    field = x.cat.field
-    p = field.p
-    out = {}
+def _chain_combine(x: Complex, y: Complex, basis: list[dict], coeffs):
+    """Yield (n, sum_j coeffs_j basis_j[n]) for every degree n of x, where
+    basis holds degree-0 maps x -> y (a map omits the degrees where it is 0)."""
     for n in x.comps:
-        dims = x.rep(n).dims
-        acc = [np.zeros((d, d), dtype=np.int64) for d in dims]
-        for cf, b in zip(coeffs, basis):
-            if cf and n in b:
-                for v in range(len(dims)):
-                    acc[v] += cf * b[n][v].a
-        out[n] = tuple(Matrix(field, a % p) for a in acc)
-    return out
+        live = [(cf, b[n]) for cf, b in zip(coeffs, basis) if cf and n in b]
+        yield n, _combine_rect(x.rep(n), y.rep(n), [g for _, g in live], [cf for cf, _ in live])
 
 
 def _fitting_split_cx(x: Complex, phi: dict) -> tuple[Complex, Complex] | None:
     """Split along the eventual image/kernel of a chain endomorphism."""
-    cat = x.cat
-    field = cat.field
     total = x.total_dim()
-    e = {n: phi[n] for n in phi}
-    k = 0
-    while (1 << k) < max(total, 1):
-        e = {n: tuple(m @ m2 for m, m2 in zip(e[n], e[n])) for n in e}
-        k += 1
+    e = {n: _power_eventual(phi[n], total) for n in phi}
     r = sum(rank(m) for mats in e.values() for m in mats)
     if r == 0 or r == total:
         return None
     im_cols = {}
     ker_cols = {}
     for n in x.comps:
-        dims = x.rep(n).dims
-        ic = []
-        kc = []
-        for v in range(cat.quiver.n):
-            mv = e[n][v]
-            piv = rref(mv)[1]
-            ic.append(
-                Matrix(field, mv.a[:, list(piv)] if piv else np.zeros((dims[v], 0), dtype=np.int64))
-            )
-            kb = kernel_basis(mv)
-            kc.append(
-                Matrix(field, np.stack(kb, axis=1) if kb else np.zeros((dims[v], 0), dtype=np.int64))
-            )
-        im_cols[n] = tuple(ic)
-        ker_cols[n] = tuple(kc)
+        im_cols[n], ker_cols[n] = _image_kernel_cols(e[n])
     return (
         _canonicalize_subcomplex(x, im_cols),
         _canonicalize_subcomplex(x, ker_cols),
@@ -1081,17 +1052,9 @@ def _canonicalize_subcomplex(x: Complex, cols: dict) -> Complex:
     inclusions = {}
     for n in x.comps:
         c = cols[n]
-        dims = tuple(m.cols for m in c)
-        if sum(dims) == 0:
+        if sum(m.cols for m in c) == 0:
             continue
-        maps = []
-        amb = x.rep(n)
-        for i, (t, h) in enumerate(cat.quiver.arrows):
-            img = amb.maps[i] @ c[t - 1]
-            sol = solve_matrix(c[h - 1], img)
-            assert sol is not None, "summand fibres not arrow-stable"
-            maps.append(sol)
-        sub_reps[n] = Rep(cat.quiver, field, dims, maps)
+        sub_reps[n] = _sub_rep(x.rep(n), c)
         inclusions[n] = c
     comps = {}
     isos = {}
@@ -1149,7 +1112,7 @@ def _decompose_minimal(x: Complex, caps: Caps) -> list[Complex]:
     for coeffs in itertools.product(range(p), repeat=d):
         if not any(coeffs):
             continue
-        phi = _chain_endo_combine(x, basis, coeffs)
+        phi = dict(_chain_combine(x, x, basis, coeffs))
         split = _fitting_split_cx(x, phi)
         if split is not None:
             a, b = split
@@ -1180,20 +1143,11 @@ def find_chain_iso(x: Complex, y: Complex, caps: Caps = DEFAULT_CAPS) -> dict | 
         if not any(coeffs):
             continue
         out = {}
-        ok = True
-        for n in x.comps:
-            dims = x.rep(n).dims
-            acc = [np.zeros((dd, dd), dtype=np.int64) for dd in dims]
-            for cf, b in zip(coeffs, basis):
-                if cf and n in b:
-                    for v in range(len(dims)):
-                        acc[v] += cf * b[n][v].a
-            mats = tuple(Matrix(x.cat.field, a % p) for a in acc)
-            if any(rank(m) != dims[v] for v, m in enumerate(mats)):
-                ok = False
-                break
+        for n, mats in _chain_combine(x, y, basis, coeffs):
+            if any(rank(m) != m.cols for m in mats):
+                break  # singular in degree n: no need to build the others
             out[n] = mats
-        if ok:
+        else:
             return out
     return None
 
@@ -1310,14 +1264,7 @@ def enumerate_complexes(
                 pos += len(hb)
                 tgt = cat.rep_of(comps[cat.next_deg(n)])
                 src = cat.rep_of(comps[n])
-                mats = []
-                for v in range(cat.quiver.n):
-                    acc = np.zeros((tgt.dims[v], src.dims[v]), dtype=np.int64)
-                    for cf, b in zip(coeffs, hb):
-                        if cf:
-                            acc += cf * b[v].a
-                    mats.append(Matrix(field, acc % p))
-                diffs[n] = tuple(mats)
+                diffs[n] = _combine_rect(src, tgt, hb, coeffs)
             # keep only genuine complexes
             ok = True
             for n in pairs:

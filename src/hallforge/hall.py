@@ -146,6 +146,11 @@ class SqrtExt:
 # ---- backends ----
 
 
+def _matrix_of_rows(field: Field, rows, r: int, c: int) -> Matrix:
+    """The r x c matrix whose Matrix.entries() are `rows`."""
+    return Matrix(field, np.array(rows, dtype=np.int64).reshape(r, c))
+
+
 def _group_middles(encs, decode, registry: Registry) -> list[tuple[tuple, int]]:
     """[(witness encoding, class count)] for a list of middle encodings.
 
@@ -190,12 +195,10 @@ class RepBackend:
 
     def decode(self, enc) -> Rep:
         dims, maps = enc
-        mats = []
-        for (t, h), rows in zip(self.quiver.arrows, maps):
-            r, c = dims[h - 1], dims[t - 1]
-            mats.append(
-                Matrix(self.field, np.array([list(row) for row in rows], dtype=np.int64).reshape(r, c))
-            )
+        mats = [
+            _matrix_of_rows(self.field, rows, dims[h - 1], dims[t - 1])
+            for (t, h), rows in zip(self.quiver.arrows, maps)
+        ]
         return Rep(self.quiver, self.field, dims, mats)
 
     def zero_id(self) -> int:
@@ -248,15 +251,11 @@ class CxBackend:
         comps = {n: tuple(m) for n, m in comps_part}
         diffs = {}
         for n, vmats in diffs_part:
-            src = self.cat.rep_of(comps[n])
-            tgt = self.cat.rep_of(comps[self.cat.next_deg(n)])
-            mats = []
-            for v, rows in enumerate(vmats):
-                r, c = tgt.dims[v], src.dims[v]
-                mats.append(
-                    Matrix(self.field, np.array([list(x) for x in rows], dtype=np.int64).reshape(r, c))
-                )
-            diffs[n] = tuple(mats)
+            src = self.cat.rep_of(comps[n]).dims
+            tgt = self.cat.rep_of(comps[self.cat.next_deg(n)]).dims
+            diffs[n] = tuple(
+                _matrix_of_rows(self.field, rows, tgt[v], src[v]) for v, rows in enumerate(vmats)
+            )
         return cx.Complex(self.cat, comps, diffs, validate=False)
 
     def zero_id(self) -> int:
@@ -394,36 +393,29 @@ class HallAlgebra:
 
     def product(self, x: dict, y: dict) -> dict:
         """Plain counting product, coefficients in Q."""
-        out: dict[int, Fraction] = {}
-        for a_id, ca in sorted(x.items()):
-            for c_id, cc in sorted(y.items()):
-                hom, middles = self.ext_data(a_id, c_id)
-                for b_id, n in middles:
-                    coeff = ca * cc * Fraction(n, hom)
-                    s = out.get(b_id, Fraction(0)) + coeff
-                    if s == 0:
-                        out.pop(b_id, None)
-                    else:
-                        out[b_id] = s
-        return out
+        return self._product(x, y, lambda a_id, c_id: 1)
 
     def twisted_product(self, x: dict, y: dict) -> dict:
         """Euler-twisted product: pairwise scaled by v^{e(A, C)}, v^2 = q."""
-        out: dict[int, SqrtExt] = {}
+        bk = self.backend
+
+        def twist(a_id, c_id):
+            e = bk.euler_exp(bk.object(a_id), bk.object(c_id))
+            return SqrtExt.v_power(self.q, e)
+
+        return self._product(x, y, twist)
+
+    def _product(self, x: dict, y: dict, twist) -> dict:
+        """Bilinear product: a pair [A], [C] with coefficients ca, cc adds
+        ca cc twist(A, C) |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B]."""
+        out: dict = {}
         for a_id, ca in sorted(x.items()):
             for c_id, cc in sorted(y.items()):
-                a = self.backend.object(a_id)
-                c = self.backend.object(c_id)
-                tw = SqrtExt.v_power(self.q, self.backend.euler_exp(a, c))
+                scale = ca * cc * twist(a_id, c_id)
                 hom, middles = self.ext_data(a_id, c_id)
                 for b_id, n in middles:
-                    coeff = (
-                        SqrtExt(self.q, ca) if not isinstance(ca, SqrtExt) else ca
-                    ) * (
-                        SqrtExt(self.q, cc) if not isinstance(cc, SqrtExt) else cc
-                    ) * tw * SqrtExt(self.q, Fraction(n, hom))
-                    s = out.get(b_id, SqrtExt(self.q, 0)) + coeff
-                    if s.is_zero():
+                    s = out.get(b_id, 0) + scale * Fraction(n, hom)
+                    if s == 0:
                         out.pop(b_id, None)
                     else:
                         out[b_id] = s

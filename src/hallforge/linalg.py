@@ -8,7 +8,7 @@ deterministic.  No sparse formats, no extension fields.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, -self.a)
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.a * (c % self.field.p))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -203,42 +197,7 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     return Matrix(m.field, x)
 
 
-def column_space_pivots(m: Matrix) -> tuple[int, ...]:
-    """Indices of a deterministic maximal independent subset of columns."""
-    return rref(m)[1]
-
-
-def hstack(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    return Matrix(mats[0].field, np.concatenate([m.a for m in mats], axis=1))
-
-
-def vstack(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    return Matrix(mats[0].field, np.concatenate([m.a for m in mats], axis=0))
-
-
-def block_diag(field: Field, mats: Sequence[Matrix]) -> Matrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for m in mats:
-        out[r:r + m.rows, c:c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Matrix(field, out)
-
-
 def block2x2(field: Field, tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     top = np.concatenate([tl.a, tr.a], axis=1)
     bot = np.concatenate([bl.a, br.a], axis=1)
     return Matrix(field, np.concatenate([top, bot], axis=0))
-
-
-def kron(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(field, np.kron(a.a, b.a) % field.p)
-
-
-def is_invertible(m: Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -308,11 +307,7 @@ def ext1_space(a: Rep, c: Rep, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool =
         vec = np.zeros(z, dtype=np.int64)
         for c0, pos in zip(coeffs, compl):
             vec[pos] = c0
-        fs = []
-        for i, (r0, s0) in enumerate(fshapes):
-            seg = vec[foffs[i]:foffs[i + 1]]
-            fs.append(Matrix(field, seg.reshape(r0, s0) if r0 * s0 else np.zeros((r0, s0), dtype=np.int64)))
-        reps.append(tuple(fs))
+        reps.append(_unvec(field, vec, foffs, fshapes))
     return Ext1Space(dim, reps)
 
 
@@ -373,10 +368,6 @@ def euler_exponent(quiver: Quiver, d1, d2) -> int:
     return e
 
 
-def euler_form(quiver: Quiver, field: Field, d1, d2) -> Fraction:
-    return Fraction(field.p) ** euler_exponent(quiver, d1, d2)
-
-
 def _power_eventual(maps: tuple[Matrix, ...], total: int) -> tuple[Matrix, ...]:
     """phi^(2^k) with 2^k >= total; image/kernel then split the module."""
     e = maps
@@ -387,7 +378,7 @@ def _power_eventual(maps: tuple[Matrix, ...], total: int) -> tuple[Matrix, ...]:
     return e
 
 
-def _sub_rep(m: Rep, cols: list[Matrix]) -> Rep:
+def _sub_rep(m: Rep, cols: tuple[Matrix, ...]) -> Rep:
     """Restrict m to the subrepresentation spanned by the given columns."""
     dims = tuple(c.cols for c in cols)
     maps = []
@@ -399,23 +390,28 @@ def _sub_rep(m: Rep, cols: list[Matrix]) -> Rep:
     return Rep(m.quiver, m.field, dims, maps)
 
 
+def _image_kernel_cols(e: tuple[Matrix, ...]) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+    """Per vertex: columns spanning the image and the kernel of e_v."""
+    im_cols = []
+    ker_cols = []
+    for x in e:
+        piv = rref(x)[1]
+        im_cols.append(Matrix(x.field, x.a[:, list(piv)]))
+        kb = kernel_basis(x)
+        ker_cols.append(
+            Matrix(x.field, np.stack(kb, axis=1) if kb else np.zeros((x.rows, 0), dtype=np.int64))
+        )
+    return tuple(im_cols), tuple(ker_cols)
+
+
 def _fitting_split(m: Rep, phi: tuple[Matrix, ...]) -> tuple[Rep, Rep] | None:
     """Split m along the eventual image/kernel of phi, if proper."""
-    field = m.field
     total = m.total_dim()
     e = _power_eventual(phi, total)
     r = sum(rank(x) for x in e)
     if r == 0 or r == total:
         return None
-    im_cols = []
-    ker_cols = []
-    for v in range(m.quiver.n):
-        piv = rref(e[v])[1]
-        im_cols.append(Matrix(field, e[v].a[:, list(piv)] if piv else np.zeros((m.dims[v], 0), dtype=np.int64)))
-        kb = kernel_basis(e[v])
-        ker_cols.append(
-            Matrix(field, np.stack(kb, axis=1) if kb else np.zeros((m.dims[v], 0), dtype=np.int64))
-        )
+    im_cols, ker_cols = _image_kernel_cols(e)
     return _sub_rep(m, im_cols), _sub_rep(m, ker_cols)
 
 
@@ -502,19 +498,15 @@ def find_iso(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> tuple[Matrix, ...] | 
     return None
 
 
-def _invertible_hom_exists(a: Rep, b: Rep, caps: Caps) -> bool:
-    return find_iso(a, b, caps) is not None
-
-
 def _combine_rect(a: Rep, b: Rep, basis, coeffs) -> tuple[Matrix, ...]:
-    p = a.field.p
+    """The morphism a -> b summing coeffs_j basis_j, vertex by vertex."""
     out = []
     for v in range(a.quiver.n):
         acc = np.zeros((b.dims[v], a.dims[v]), dtype=np.int64)
         for c, g in zip(coeffs, basis):
             if c:
                 acc += c * g[v].a
-        out.append(Matrix(a.field, acc % p))
+        out.append(Matrix(a.field, acc))
     return tuple(out)
 
 
@@ -558,7 +550,7 @@ def iso_test(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
         fa = _cached_factors(a, caps)
         fb = _cached_factors(b, caps)
     except EndoSearchCapExceeded:
-        return _invertible_hom_exists(a, b, caps)
+        return find_iso(a, b, caps) is not None
     if len(fa) != len(fb):
         return False
     used = [False] * len(fb)
@@ -567,7 +559,7 @@ def iso_test(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
         for j, y in enumerate(fb):
             if used[j] or x.dims != y.dims:
                 continue
-            if x.encoding() == y.encoding() or _invertible_hom_exists(x, y, caps):
+            if x.encoding() == y.encoding() or find_iso(x, y, caps) is not None:
                 used[j] = True
                 hit = True
                 break
@@ -600,16 +592,6 @@ class Registry:
 
     def object(self, i: int):
         return self.objs[i]
-
-    def lookup(self, obj) -> int | None:
-        """Classify without registering; None if no known class matches."""
-        enc = obj.encoding()
-        if enc in self._by_enc:
-            return self._by_enc[enc]
-        for i in self._by_key.get(self._key(obj), []):
-            if self._iso(self.objs[i], obj):
-                return i
-        return None
 
     def classify(self, obj) -> int:
         enc = obj.encoding()

@@ -353,7 +353,7 @@ class SDH:
             named = self.torus.named(gamma)
             moved = {}
             for key, g in named.items():
-                i, n = _parse_gen_key(key)
+                i, n = cx._parse_generator_key(key)
                 if self.cat.kind == "periodic":
                     tn = self.cat.wrap(n - k)
                 else:
@@ -621,8 +621,3 @@ def _prune(d: dict) -> dict:
 
 def _fmt_elem(d: dict) -> list:
     return [[list(k[0]), k[1], str(v)] for k, v in sorted(d.items())]
-
-
-def _parse_gen_key(key: str) -> tuple:
-    head, n = key.split("@")
-    return int(head[1:]), int(n)

@@ -352,7 +352,7 @@ def test_periodic_verify_suites_all_pass(tmp_path, capsys):
         assert rc == 0, suite
 
 
-# ---- pinned artifact bytes; dh/sdh tables over bounded complexes ----
+# ---- pinned artifact bytes: strict tables ----
 
 A2_BOUNDED = {
     "format_version": 1,
@@ -362,12 +362,25 @@ A2_BOUNDED = {
     "window": [0, 1],
 }
 
-# sha256 of the A2 q=2 window [0,1] cap-1 tables, recorded before the
-# projective-sum memos of ComplexCategory existed
+A2_ABELIAN_Q3 = {
+    "format_version": 1,
+    "field": {"q": 3},
+    "quiver": {"vertices": 2, "arrows": [[1, 2]]},
+    "backend": "abelian",
+}
+
+# sha256 of the A2 q=2 window [0,1] cap-1 tables (dh and sdh recorded
+# before the projective-sum memos of ComplexCategory existed, hall and
+# twisted before the coefficient combiners and decoders were merged), and of
+# the A2 q=3 cap (1,1) twisted table, whose coefficients carry odd powers of
+# v = sqrt(3) and whose warm run decodes every middle from the pair cache
 BOUNDED_TABLE_SHA256 = {
     "dh": "eda25477da8ab042cc80159fed02e6af90d25da34e8d2ffad26b92d51bf02ce8",
     "sdh": "f94ae11d733591866c3ca216f561d4ee509f12ff34efe157b6dabc79fcc75cb9",
+    "hall": "8d1d3ff972709586758304b63f3639dc9adfdaec02f9b4e39b2305025057e921",
+    "twisted": "61e4b23e5aaea1c0ccff15c66f363bd1b6b47e144c79cd1690ccacfdf6078e8e",
 }
+ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b2298098d6501abe6ada"
 
 # sha256 of dump_doc(report_body(report)), recorded when `verify` still
 # offered a thread fan-out, so the serial loops must reproduce those bytes
@@ -378,20 +391,25 @@ REPORT_BODY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("algebra", ["dh", "sdh"])
-def test_bounded_table_bytes_across_cache_states(tmp_path, algebra):
-    spec = write_spec(tmp_path, A2_BOUNDED)
+@pytest.mark.parametrize(
+    "doc, cap, algebra, digest",
+    [(A2_BOUNDED, "1", a, d) for a, d in BOUNDED_TABLE_SHA256.items()]
+    + [(A2_ABELIAN_Q3, "1,1", "twisted", ABELIAN_Q3_TWISTED_SHA256)],
+    ids=list(BOUNDED_TABLE_SHA256) + ["abelian-q3-twisted"],
+)
+def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, digest):
+    spec = write_spec(tmp_path, doc)
     digests = []
     for i, extra in enumerate(([], [], ["--no-cache"])):
         out = tmp_path / f"t{i}.json"
         rc = cli.main(
-            ["table", "--spec", spec, "--dim-cap", "1", "--algebra", algebra, "--out", str(out)]
+            ["table", "--spec", spec, "--dim-cap", cap, "--algebra", algebra, "--out", str(out)]
             + extra
         )
         assert rc == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     # cold cache, warm cache and no-cache: the recorded bytes
-    assert digests == [BOUNDED_TABLE_SHA256[algebra]] * 3
+    assert digests == [digest] * 3
 
 
 @pytest.mark.parametrize(

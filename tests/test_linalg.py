@@ -10,15 +10,11 @@ from hypothesis import strategies as st
 from hallforge.linalg import (
     Field,
     Matrix,
-    hstack,
-    is_invertible,
     kernel_basis,
-    kron,
     rank,
     rref,
     solve,
     solve_matrix,
-    vstack,
 )
 
 
@@ -102,22 +98,6 @@ def test_matrix_ops_mod_p():
     assert (a + b).entries() == ((3, 4), (0, 2))
     assert (a - b).entries() == ((1, 2), (3, 0))
     assert (a @ b).entries() == ((0, 0), (0, 0))
-    assert a.scale(2).entries() == ((4, 1), (3, 2))
-    assert a.transpose().entries() == ((2, 4), (3, 1))
-
-
-def test_stack_and_kron():
-    a = mat(2, [[1]])
-    b = mat(2, [[0]])
-    assert hstack([a, b]).entries() == ((1, 0),)
-    assert vstack([a, b]).entries() == ((1,), (0,))
-    k = kron(Field(2), mat(2, [[1, 1]]), mat(2, [[1], [0]]))
-    assert k.entries() == ((1, 1), (0, 0))
-
-
-def test_is_invertible():
-    assert is_invertible(mat(2, [[1, 1], [0, 1]]))
-    assert not is_invertible(mat(2, [[1, 1], [1, 1]]))
 
 
 small_primes = st.sampled_from([2, 3, 5])

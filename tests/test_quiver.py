@@ -307,8 +307,8 @@ def test_registry_id_stability():
     reg = enumerate_reps(A2, F2, (1, 1))
     P1 = proj_indec(A2, F2, 1)
     assert reg.classify(P1) == 4
-    assert reg.lookup(P1) == 4
-    assert reg.lookup(Rep.simple(A2, F2, 1)) == 2
+    assert reg.classify(P1) == 4
+    assert reg.classify(Rep.simple(A2, F2, 1)) == 2
     assert len(reg) == 5  # no new classes minted
 
 
