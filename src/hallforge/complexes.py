@@ -102,11 +102,11 @@ class ComplexCategory:
         self._rep_cache: dict[tuple[int, ...], Rep] = {}
         self._zero_mults = (0,) * quiver.n
         # Memos of what depends only on multiplicity vectors, filled on first
-        # use and holding immutable values; a race between threads computes
-        # an entry twice and keeps either copy.
+        # use and holding immutable values.
         self._copies_memo: dict = {}
         self._offsets_memo: dict = {}
         self._hom_memo: dict = {}
+        self._stack_memo: dict = {}
         self._zero_memo: dict = {}
         self._merge_memo: dict = {}
 
@@ -186,6 +186,23 @@ class ComplexCategory:
         if hit is None:
             hit = tuple(hom_basis(self.rep_of(src), self.rep_of(tgt)))
             self._hom_memo[key] = hit
+        return hit
+
+    def hom_stack(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """hom_basis_of(src, tgt) as one write-protected int64 array per
+        vertex, of shape (basis size, rows, cols): entry j is basis element j."""
+        key = (src, tgt)
+        hit = self._stack_memo.get(key)
+        if hit is None:
+            basis = self.hom_basis_of(src, tgt)
+            s, t = self.rep_of(src).dims, self.rep_of(tgt).dims
+            hit = tuple(
+                np.array([b[v].a for b in basis], dtype=np.int64).reshape(len(basis), t[v], s[v])
+                for v in range(self.quiver.n)
+            )
+            for a in hit:
+                a.setflags(write=False)
+            self._stack_memo[key] = hit
         return hit
 
     def zero_maps(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[Matrix, ...]:
@@ -496,12 +513,16 @@ class _MapSpace:
     subspace comparisons happen)."""
 
     degrees: list[int]
-    bases: dict  # n -> list of vertex-matrix tuples (hom basis at degree n)
-    var_index: dict  # (n, j) -> column
+    stacks: dict  # n -> ComplexCategory.hom_stack of the hom basis at degree n
+    var_start: dict  # n -> column of the first degree-n coefficient
     nvars: int
     raw_offsets: dict  # n -> per-vertex offsets into the raw vector, then the end
     raw_dim: int
     shapes: dict  # n -> per-vertex (rows, cols)
+
+    def columns(self, n: int) -> slice:
+        """Columns of the degree-n coefficients, in hom-basis order."""
+        return slice(self.var_start[n], self.var_start[n] + len(self.stacks[n][0]))
 
 
 def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
@@ -513,8 +534,8 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
             set(x.comps)
             | {n - k for n in y.comps}
         )
-    bases = {}
-    var_index = {}
+    stacks = {}
+    var_start = {}
     raw_offsets = {}
     shapes = {}
     nvars = 0
@@ -525,20 +546,19 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
         tgt = y.rep(ykdeg if ykdeg in y.comps else None)
         if src.total_dim() == 0 or tgt.total_dim() == 0:
             continue
-        b = cat.hom_basis_of(x.mults(n), y.mults(ykdeg))
+        stack = cat.hom_stack(x.mults(n), y.mults(ykdeg))
         offs = [raw]
         for v in range(cat.quiver.n):
             raw += tgt.dims[v] * src.dims[v]
             offs.append(raw)
-        if raw == offs[0] and not b:
+        if raw == offs[0] and not len(stack[0]):
             continue
-        bases[n] = b
+        stacks[n] = stack
+        var_start[n] = nvars
         raw_offsets[n] = tuple(offs)
         shapes[n] = tuple((tgt.dims[v], src.dims[v]) for v in range(cat.quiver.n))
-        for j in range(len(b)):
-            var_index[(n, j)] = nvars
-            nvars += 1
-    return _MapSpace(sorted(bases), bases, var_index, nvars, raw_offsets, raw, shapes)
+        nvars += len(stack[0])
+    return _MapSpace(sorted(stacks), stacks, var_start, nvars, raw_offsets, raw, shapes)
 
 
 def _raw_vector(space: _MapSpace, n: int, mats) -> np.ndarray:
@@ -554,59 +574,68 @@ def _raw_vector(space: _MapSpace, n: int, mats) -> np.ndarray:
     return vec
 
 
-def _space_raw_matrix(space: _MapSpace, field: Field) -> np.ndarray:
-    """Columns: raw coordinates of each hom-basis variable."""
-    out = np.zeros((space.raw_dim, space.nvars), dtype=np.int64)
-    for (n, j), col in space.var_index.items():
-        out[:, col] = _raw_vector(space, n, space.bases[n][j])
-    return out
+def _scatter(out: np.ndarray, cols: slice, space: _MapSpace, n: int, terms, sign: int = 1):
+    """Add sign times a stack of degree-n maps (per vertex, shape (count,
+    rows, cols)) to out[:, cols] in the raw coordinates of space.  Entries
+    are left unreduced; callers reduce mod p once at the end."""
+    offs = space.raw_offsets.get(n)
+    if offs is None:
+        # the maps must be zero there; otherwise the layout is wrong
+        assert not any(t.any() for t in terms)
+        return
+    for v, t in enumerate(terms):
+        count, r, c = t.shape
+        out[offs[v]:offs[v + 1], cols] += sign * t.reshape(count, r * c).T
 
 
-def _compose(field, a, b):
-    """Vertexwise composition a after b."""
-    return tuple(x @ y for x, y in zip(a, b))
+def _differential_terms(
+    x: Complex, y: Complex, k: int, space: _MapSpace, out_space: _MapSpace, ysign: int, xsign: int
+) -> np.ndarray:
+    """Raw columns (in out_space) of ysign d_y f + xsign f d_x for each
+    hom-basis variable f of space (degree k): the term d_{y, n+k} f_n lands
+    at degree n and f_n d_{x, n-1} at degree n-1.  One product per degree
+    and vertex multiplies the whole basis stack at once."""
+    cat = x.cat
+    out = np.zeros((out_space.raw_dim, space.nvars), dtype=np.int64)
+    for n in space.degrees:
+        stack = space.stacks[n]
+        cols = space.columns(n)
+        dy = y.diffs.get(cat.wrap(n + k))
+        if dy is not None:
+            _scatter(out, cols, out_space, n, [d.a @ f for d, f in zip(dy, stack)], ysign)
+        nprev = cat.prev_deg(n)
+        dx = x.diffs.get(nprev)
+        if dx is not None:
+            _scatter(out, cols, out_space, nprev, [f @ d.a for f, d in zip(stack, dx)], xsign)
+    return out % cat.field.p
+
+
+def _chain_constraint_matrix(x: Complex, y: Complex, k: int, space: _MapSpace) -> np.ndarray:
+    """Raw columns of d_y f + s f d_x, s = +1 for odd k and -1 for even k,
+    for each hom-basis variable f of space; rows are the raw coordinates of
+    the constraint targets, maps x_n -> y_{n+k+1}."""
+    tgt_space = _map_space(x, y, k + 1)
+    return _differential_terms(x, y, k, space, tgt_space, 1, 1 if k % 2 == 1 else -1)
 
 
 def _chain_constraint_kernel(x: Complex, y: Complex, k: int, space: _MapSpace):
-    """Coefficient vectors of degree-k maps with d_y f + s f d_x = 0,
-    s = +1 for odd k and -1 for even k."""
+    """Coefficient vectors of degree-k maps with d_y f + s f d_x = 0."""
     if space.nvars == 0:
         return []
-    cat = x.cat
-    field = cat.field
-    s = 1 if k % 2 == 1 else -1
-    # constraint targets: maps x_n -> y_{n+k+1}
-    tgt_space = _map_space(x, y, k + 1)
-    rows = tgt_space.raw_dim
-    mat = np.zeros((rows, space.nvars), dtype=np.int64)
-    p = field.p
-    for (n, j), col in space.var_index.items():
-        f = space.bases[n][j]
-        # term d_{y, n+k} f_n lands at constraint degree n
-        ydeg = cat.wrap(n + k)
-        if ydeg is not None:
-            dy = y.diff(ydeg)
-            term = _compose(field, dy, f)
-            mat[:, col] = (mat[:, col] + _raw_vector(tgt_space, n, term)) % p
-        # term s * f_{n} d_{x, n-1} lands at constraint degree n-1
-        nprev = cat.prev_deg(n)
-        if nprev is not None:
-            dxp = x.diff(nprev)
-            term = _compose(field, f, dxp)
-            vec = _raw_vector(tgt_space, nprev, term)
-            mat[:, col] = (mat[:, col] + s * vec) % p
-    if rows == 0:
+    mat = _chain_constraint_matrix(x, y, k, space)
+    if mat.shape[0] == 0:
         return [v for v in np.eye(space.nvars, dtype=np.int64)]
-    return kernel_basis(Matrix(field, mat % p))
+    return kernel_basis(Matrix(x.cat.field, mat))
 
 
 def _coeffs_to_components(x: Complex, y: Complex, space: _MapSpace, coeffs: np.ndarray) -> dict:
     """The degree-0 map x -> y with these hom-basis coefficients, as
     degree -> vertex matrices (degrees where it vanishes left out)."""
+    field = x.cat.field
     out = {}
     for n in space.degrees:
-        cfs = [coeffs[space.var_index[(n, j)]] for j in range(len(space.bases[n]))]
-        mats = _combine_rect(x.rep(n), y.rep(n), space.bases[n], cfs)
+        cfs = coeffs[space.columns(n)]
+        mats = tuple(Matrix(field, np.tensordot(cfs, s, axes=1)) for s in space.stacks[n])
         if any(not m.is_zero() for m in mats):
             out[n] = mats
     return out
@@ -632,30 +661,16 @@ def _homotopy_image_columns(x: Complex, y: Complex, k: int, space: _MapSpace) ->
     """Raw-coordinate columns spanning the degenerate degree-k maps:
     k = 0: f = d_y h + h d_x (h of degree -1),
     k = 1: f = h d_x - d_y h (h of degree 0)."""
-    cat = x.cat
-    field = cat.field
     hspace = _map_space(x, y, k - 1)
-    cols = []
-    for (n, j) in sorted(hspace.var_index, key=lambda t: hspace.var_index[t]):
-        h = hspace.bases[n][j]
-        vec = np.zeros(space.raw_dim, dtype=np.int64)
-        # d_{y, n+k-1} h_n contributes at degree n
-        ydeg = cat.wrap(n + k - 1)
-        if ydeg is not None:
-            dy = y.diff(ydeg)
-            term = _compose(field, dy, h)
-            sgn = 1 if k == 0 else -1
-            vec = (vec + sgn * _raw_vector(space, n, term)) % field.p
-        # h_n d_{x, n-1} contributes at degree n-1
-        nprev = cat.prev_deg(n)
-        if nprev is not None:
-            dxp = x.diff(nprev)
-            term = _compose(field, h, dxp)
-            vec = (vec + _raw_vector(space, nprev, term)) % field.p
-        cols.append(vec)
-    if cols:
-        return np.stack(cols, axis=1)
-    return np.zeros((space.raw_dim, 0), dtype=np.int64)
+    return _differential_terms(x, y, k - 1, hspace, space, 1 if k == 0 else -1, 1)
+
+
+def _cocycle_columns(space: _MapSpace, ker, p: int) -> np.ndarray:
+    """Raw coordinates of the maps with the kernel's coefficients, one column each."""
+    basis = np.zeros((space.raw_dim, space.nvars), dtype=np.int64)
+    for n in space.degrees:
+        _scatter(basis, space.columns(n), space, n, space.stacks[n])
+    return basis @ np.stack(ker, axis=1) % p
 
 
 def stable_hom_dim(x: Complex, y: Complex) -> int:
@@ -665,8 +680,7 @@ def stable_hom_dim(x: Complex, y: Complex) -> int:
     if not ker:
         return 0
     field = x.cat.field
-    raw_mat = _space_raw_matrix(space, field)
-    zcols = np.stack([np.dot(raw_mat, v) % field.p for v in ker], axis=1)
+    zcols = _cocycle_columns(space, ker, field.p)
     bcols = _homotopy_image_columns(x, y, 0, space)
     zdim = len(ker)
     bdim = rank(Matrix(field, bcols)) if bcols.shape[1] else 0
@@ -704,8 +718,7 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
     zdim = len(ker)
     if zdim == 0:
         return CxExt1(0, [{}] if enumerate_reps else None)
-    raw_mat = _space_raw_matrix(space, field)
-    zcols = np.stack([np.dot(raw_mat, v) % p for v in ker], axis=1)
+    zcols = _cocycle_columns(space, ker, p)
     bcols = _homotopy_image_columns(a, c, 1, space)
     bdim = rank(Matrix(field, bcols)) if bcols.shape[1] else 0
     dim = zdim - bdim
@@ -1139,7 +1152,10 @@ def find_chain_iso(x: Complex, y: Complex, caps: Caps = DEFAULT_CAPS) -> dict | 
         raise IsoEnumCapExceeded(
             f"|Hom| = {p}^{d} exceeds iso search cap {caps.max_hom_enum}"
         )
-    for coeffs in itertools.product(range(p), repeat=d):
+    # Descending coefficients: the first candidate is (p - 1) times the sum
+    # of the basis, invertible exactly when that sum is, and the zero map
+    # comes last.
+    for coeffs in itertools.product(range(p - 1, -1, -1), repeat=d):
         if not any(coeffs):
             continue
         out = {}
@@ -1282,16 +1298,28 @@ def enumerate_complexes(
     return registry
 
 
-def cx_registry(cat: ComplexCategory, caps: Caps = DEFAULT_CAPS) -> Registry:
-    return Registry(
-        lambda a, b: iso_test_cx(a, b, caps),
-        lambda c: tuple((n, c.comps[n]) for n in sorted(c.comps)),
+def _profile_rank_key(c: Complex) -> tuple:
+    """Degree profile plus the rank of every differential block, vertex by
+    vertex.  An isomorphism f: x -> y gives d_y = f d_x f^-1 degreewise, with
+    every f_n invertible at every vertex, so both parts are iso invariants."""
+    return (
+        tuple((n, c.comps[n]) for n in sorted(c.comps)),
+        tuple((n, tuple(rank(m) for m in c.diffs[n])) for n in sorted(c.diffs)),
     )
+
+
+def cx_registry(cat: ComplexCategory, caps: Caps = DEFAULT_CAPS) -> Registry:
+    """Registry of complexes up to isomorphism, keyed like stable_registry."""
+    return Registry(lambda a, b: iso_test_cx(a, b, caps), _profile_rank_key)
 
 
 def stable_registry(cat: ComplexCategory, caps: Caps = DEFAULT_CAPS) -> Registry:
-    """Registry of minimal complexes up to isomorphism (stable classes)."""
-    return Registry(
-        lambda a, b: stable_iso_test_minimal(a, b, caps),
-        lambda c: tuple((n, c.comps[n]) for n in sorted(c.comps)),
-    )
+    """Registry of minimal complexes up to isomorphism (stable classes).
+
+    It takes minimal complexes only (strip_contractibles first): for those,
+    isomorphism is homotopy equivalence.  The bucket key is the degree
+    profile plus the vertexwise rank of every differential block, both
+    invariant under isomorphism, so the iso search only runs between
+    complexes that agree on all of them.
+    """
+    return Registry(lambda a, b: stable_iso_test_minimal(a, b, caps), _profile_rank_key)

@@ -8,8 +8,6 @@ deterministic.  No sparse formats, no extension fields.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 _SMALL_PRIMES = {
@@ -65,10 +63,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
-        return cls(field, np.array(rows, dtype=np.int64).reshape(len(rows), -1))
 
     @property
     def rows(self) -> int:

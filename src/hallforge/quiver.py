@@ -572,8 +572,8 @@ class Registry:
     """Iso-class registry: stable integer ids in first-encounter order.
 
     ``iso`` decides isomorphism.  ``key`` is an iso invariant that buckets
-    the classes (``rep_invariant`` for reps, degreewise components for
-    complexes); it is computed once per classified object that misses the
+    the classes (``rep_invariant`` for reps, the degree profile plus the
+    rank of every differential block for complexes); it is computed once per classified object that misses the
     encoding table and stored with each registered class, so ``iso`` only
     runs between objects whose keys agree.  Not thread-safe: one registry
     per thread.  Encodings of later witnesses are remembered so repeat

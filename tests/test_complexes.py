@@ -8,20 +8,24 @@ solving d h + h d = id) which must agree everywhere.
 """
 
 import itertools
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallforge.config import Caps
+import hallforge.complexes as cx
+from hallforge.config import DEFAULT_CAPS, Caps
 from hallforge.errors import EnumCapExceeded, SpecError, WindowOverflow
-from hallforge.linalg import Field, Matrix
-from hallforge.quiver import Quiver, hom_basis
+from hallforge.linalg import Field, Matrix, kernel_basis, rank
+from hallforge.quiver import Quiver, Registry, hom_basis
 from hallforge.complexes import (
+    _chain_constraint_kernel,
+    _chain_constraint_matrix,
+    _homotopy_image_columns,
+    _map_space,
     _merged_diff,
+    _raw_vector,
     Complex,
     ComplexCategory,
     contractible_generators,
@@ -32,6 +36,7 @@ from hallforge.complexes import (
     ext1_classes,
     extp_card,
     euler_exponent_cx,
+    find_chain_iso,
     hom_card,
     hom_dim_cx,
     is_contractible,
@@ -615,7 +620,7 @@ def test_complex_validation():
         Complex(
             cat2,
             {0: (1, 0), 1: (0, 1)},
-            {0: (Matrix.zeros(F2, 0, 1), Matrix.from_rows(F2, [[1]]))},
+            {0: (Matrix.zeros(F2, 0, 1), Matrix(F2, [[1]]))},
         )
     assert good.total_dim() == 2
 
@@ -760,11 +765,19 @@ def test_projective_memos_match_fresh_computation(p):
     rng = np.random.default_rng(p)
     for m1, m2 in itertools.product(vecs, repeat=2):
         fresh = hom_basis(cat.rep_of(m1), cat.rep_of(m2))
+        src_dims, tgt_dims = cat.rep_of(m1).dims, cat.rep_of(m2).dims
         memo = cat.hom_basis_of(m1, m2)
         assert [[g.entries() for g in b] for b in memo] == [
             [g.entries() for g in b] for b in fresh
         ]
         assert cat.hom_basis_of(m1, m2) is memo
+        stack = cat.hom_stack(m1, m2)
+        assert len(stack) == 2
+        for v in range(2):
+            assert stack[v].dtype == np.int64
+            assert stack[v].shape == (len(fresh), tgt_dims[v], src_dims[v])
+            assert all(np.array_equal(stack[v][j], b[v].a) for j, b in enumerate(fresh))
+        assert cat.hom_stack(m1, m2) is stack
         zero = cat.zero_maps(m1, m2)
         src, tgt = cat.rep_of(m1).dims, cat.rep_of(m2).dims
         assert [z.a.shape for z in zero] == [(tgt[v], src[v]) for v in range(2)]
@@ -811,6 +824,7 @@ def test_memoised_layouts_are_immutable():
     copies, offs = cat.copies_of(m1), cat.copy_offsets(m1)
     order = cat.merge_order(m1, m2)
     basis = cat.hom_basis_of(m1, m2)
+    stack = cat.hom_stack(m1, m2)
     zero = cat.zero_maps(m1, m2)
     with pytest.raises(TypeError):
         copies[0] = (2, 0)
@@ -821,6 +835,8 @@ def test_memoised_layouts_are_immutable():
     with pytest.raises(ValueError):
         basis[0][1].a[0, 0] = 1
     with pytest.raises(ValueError):
+        stack[1][0, 0, 0] = 1
+    with pytest.raises(ValueError):
         zero[1].a[0, 0] = 1
     fresh = a2_bounded(2)
     assert cat.copies_of(m1) == fresh.copies_of(m1)
@@ -830,40 +846,234 @@ def test_memoised_layouts_are_immutable():
     assert [[g.entries() for g in b] for b in cat.hom_basis_of(m1, m2)] == [
         [g.entries() for g in b] for b in fresh.hom_basis_of(m1, m2)
     ]
+    assert all(np.array_equal(a, b) for a, b in zip(stack, fresh.hom_stack(m1, m2)))
 
 
-def test_projective_memos_under_concurrent_first_use():
-    cat = a2_bounded(3)
-    vecs = _mults_upto(cat, 1)
-    pairs = list(itertools.product(vecs, repeat=2))
-    results = {}
+# ---- stacked Hom kernels against the per-basis-element computation ----
 
-    def work(w):
-        got = []
-        for m1, m2 in pairs[w % len(pairs):] + pairs[:w % len(pairs)]:
-            basis = cat.hom_basis_of(m1, m2)
-            got.append(((m1, m2), [[g.entries() for g in b] for b in basis]))
-            cat.merge_order(m1, m2)
-            cat.zero_maps(m1, m2)
-        results[w] = dict(got)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(results) == 8
-    fresh = a2_bounded(3)
-    expect = {
-        (m1, m2): [[g.entries() for g in b] for b in fresh.hom_basis_of(m1, m2)]
-        for m1, m2 in pairs
-    }
-    assert all(r == expect for r in results.values())
-    for (m1, m2), order in cat._merge_memo.items():
-        assert all(np.array_equal(a, b) for a, b in zip(order, fresh.merge_order(m1, m2)))
+def _kernel_grid(name, p):
+    if name == "a2-bounded-total2":
+        return enumerate_complexes(a2_bounded(p), max_total_dim=2)
+    return enumerate_complexes(a1_periodic(p), max_degree_dim=2)
+
+
+def _basis_columns(x, y, k, space):
+    """(degree, column, basis element) for every variable of a degree-k map
+    space, the basis taken from hom_basis_of one element at a time."""
+    cat = x.cat
+    for n in space.degrees:
+        basis = cat.hom_basis_of(x.mults(n), y.mults(cat.wrap(n + k)))
+        cols = space.columns(n)
+        assert len(basis) == cols.stop - cols.start
+        for j, f in enumerate(basis):
+            yield n, cols.start + j, f
+
+
+def _compose_each(a, b):
+    return tuple(u @ w for u, w in zip(a, b))
+
+
+def _reference_constraint(x, y, k, space):
+    """The chain-constraint matrix and kernel, one Matrix product per basis
+    element and differential."""
+    cat = x.cat
+    field = cat.field
+    p = field.p
+    s = 1 if k % 2 == 1 else -1
+    tgt_space = _map_space(x, y, k + 1)
+    mat = np.zeros((tgt_space.raw_dim, space.nvars), dtype=np.int64)
+    for n, col, f in _basis_columns(x, y, k, space):
+        ydeg = cat.wrap(n + k)
+        if ydeg is not None:
+            term = _compose_each(y.diff(ydeg), f)
+            mat[:, col] = (mat[:, col] + _raw_vector(tgt_space, n, term)) % p
+        nprev = cat.prev_deg(n)
+        if nprev is not None:
+            term = _compose_each(f, x.diff(nprev))
+            mat[:, col] = (mat[:, col] + s * _raw_vector(tgt_space, nprev, term)) % p
+    if space.nvars == 0:
+        return mat, []
+    if tgt_space.raw_dim == 0:
+        return mat, [v for v in np.eye(space.nvars, dtype=np.int64)]
+    return mat, kernel_basis(Matrix(field, mat))
+
+
+def _reference_homotopy_columns(x, y, k, space):
+    """Raw columns of the degenerate degree-k maps, one per basis element h."""
+    cat = x.cat
+    p = cat.field.p
+    hspace = _map_space(x, y, k - 1)
+    cols = []
+    for n, _, h in _basis_columns(x, y, k - 1, hspace):
+        vec = np.zeros(space.raw_dim, dtype=np.int64)
+        ydeg = cat.wrap(n + k - 1)
+        if ydeg is not None:
+            term = _compose_each(y.diff(ydeg), h)
+            sgn = 1 if k == 0 else -1
+            vec = (vec + sgn * _raw_vector(space, n, term)) % p
+        nprev = cat.prev_deg(n)
+        if nprev is not None:
+            term = _compose_each(h, x.diff(nprev))
+            vec = (vec + _raw_vector(space, nprev, term)) % p
+        cols.append(vec)
+    if cols:
+        return np.stack(cols, axis=1)
+    return np.zeros((space.raw_dim, 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3])  # the signs only show at p = 3
+@pytest.mark.parametrize("grid", ["a2-bounded-total2", "a1-periodic-cap2"])
+def test_stacked_kernels_match_per_element_reference(grid, p):
+    reg = _kernel_grid(grid, p)
+    objs = [reg.object(i) for i in range(len(reg))]
+    for x, y in itertools.product(objs, repeat=2):
+        for k in (0, 1):
+            space = _map_space(x, y, k)
+            ref_mat, ref_ker = _reference_constraint(x, y, k, space)
+            assert np.array_equal(_chain_constraint_matrix(x, y, k, space), ref_mat)
+            ker = _chain_constraint_kernel(x, y, k, space)
+            assert [v.tolist() for v in ker] == [v.tolist() for v in ref_ker]
+            got = _homotopy_image_columns(x, y, k, space)
+            assert np.array_equal(got, _reference_homotopy_columns(x, y, k, space))
+
+
+# ---- the profile-and-rank registry key, and the chain-iso search order ----
+
+
+def _profile_key(c):
+    return tuple((n, c.comps[n]) for n in sorted(c.comps))
+
+
+class _Stream:
+    """Stands in for a registry and keeps every object it is asked to classify."""
+
+    def __init__(self):
+        self.objs = []
+
+    def classify(self, obj):
+        self.objs.append(obj)
+
+
+_KEY_GRIDS = {
+    "a2-bounded-02-dh": (
+        lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=2),
+        {"max_degree_dim": 2, "max_total_dim": 3},
+    ),
+    "a1-periodic-cap2": (lambda: a1_periodic(), {"max_degree_dim": 2}),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_KEY_GRIDS))
+def key_grid(request):
+    """A grid's strict enumeration stream and its stable stream: the minimal
+    models of the strict classes, then the minimal models of the middle of
+    every extension class between the stable classes found so far (what
+    the dh table classifies)."""
+    make, cap = _KEY_GRIDS[request.param]
+    cat = make()
+    strict = _Stream()
+    enumerate_complexes(cat, registry=strict, **cap)
+    reg = stable_registry(cat)
+    stable = []
+    for x in strict.objs:
+        m = strip_contractibles(x)[0]
+        stable.append(m)
+        reg.classify(m)
+    for a, c in itertools.product(list(reg.objs), repeat=2):
+        for f in ext1_classes(a, c).reps:
+            stable.append(strip_contractibles(middle_term_cx(a, c, f))[0])
+    return cat, strict.objs, stable
+
+
+def _ids(reg, objs):
+    return [reg.classify(x) for x in objs], [x.encoding() for x in reg.objs]
+
+
+def test_rank_key_keeps_strict_partition_and_ids(key_grid):
+    cat, strict, _ = key_grid
+    plain = Registry(lambda a, b: iso_test_cx(a, b), _profile_key)
+    assert _ids(cx_registry(cat), strict) == _ids(plain, strict)
+
+
+def test_rank_key_keeps_stable_partition_and_ids(key_grid, monkeypatch):
+    cat, _, stable = key_grid
+    plain = Registry(lambda a, b: cx.stable_iso_test_minimal(a, b), _profile_key)
+    expect = _ids(plain, stable)
+    outcomes = []
+    found = []
+    test, search = cx.stable_iso_test_minimal, cx.find_chain_iso
+
+    def counted_test(a, b, caps=DEFAULT_CAPS):
+        outcomes.append(test(a, b, caps))
+        return outcomes[-1]
+
+    def recorded_search(a, b, caps=DEFAULT_CAPS):
+        phi = search(a, b, caps)
+        found.append((a, b, phi))
+        return phi
+
+    monkeypatch.setattr(cx, "stable_iso_test_minimal", counted_test)
+    monkeypatch.setattr(cx, "find_chain_iso", recorded_search)
+    assert _ids(stable_registry(cat), stable) == expect
+    # the key leaves only true isomorphisms to test (over A1 every minimal
+    # complex has zero differentials, so equal keys mean equal encodings)
+    assert all(outcomes)
+    assert bool(outcomes) == (cat.kind == "bounded")
+    for a, b, phi in found:
+        _assert_chain_iso(a, b, phi)
+
+
+def _assert_chain_iso(x, y, phi):
+    """phi is a chain map x -> y whose every component is invertible."""
+    cat = x.cat
+    assert phi is not None
+    assert sorted(phi) == sorted(x.comps)
+    for n in x.comps:
+        src, tgt = x.rep(n), y.rep(n)
+        for v in range(cat.quiver.n):
+            assert phi[n][v].a.shape == (src.dims[v], src.dims[v])
+            assert rank(phi[n][v]) == src.dims[v]
+        for i, (t, h) in enumerate(cat.quiver.arrows):
+            assert phi[n][h - 1] @ src.maps[i] == tgt.maps[i] @ phi[n][t - 1]
+        n1 = cat.next_deg(n)
+        if n1 in x.comps:
+            for v in range(cat.quiver.n):
+                assert y.diff(n)[v] @ phi[n][v] == phi[n1][v] @ x.diff(n)[v]
+
+
+def test_find_chain_iso_returns_none_for_equal_profiles(key_grid):
+    cat, _, stable = key_grid
+    reg = stable_registry(cat)
+    for x in stable:
+        reg.classify(x)
+    pairs = [(a, b) for a, b in itertools.combinations(reg.objs, 2) if a.comps == b.comps]
+    if cat.kind == "periodic":
+        # minimal complexes over A1 have zero differentials: the profile decides
+        assert not pairs
+        return
+    assert pairs
+    for a, b in pairs:
+        assert find_chain_iso(a, b) is None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_find_chain_iso_tries_the_basis_sum_first(p, monkeypatch):
+    cat = a1_periodic(p)
+    K, S = contractible_generators(cat)["P1@0"], cat.stalk(1, 1)
+    x, y = direct_sum_cx(K, S), direct_sum_cx(S, K)
+    assert x.encoding() != y.encoding()
+    tried = []
+    combine = cx._chain_combine
+
+    def recorded(x, y, basis, coeffs):
+        tried.append(tuple(coeffs))
+        return combine(x, y, basis, coeffs)
+
+    monkeypatch.setattr(cx, "_chain_combine", recorded)
+    phi = find_chain_iso(x, y)
+    _assert_chain_iso(x, y, phi)
+    d = len(tried[0])
+    assert d == hom_dim_cx(x, y) > 1
+    assert tried[0] == (p - 1,) * d
+    assert (0,) * d not in tried

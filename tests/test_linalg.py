@@ -19,7 +19,7 @@ from hallforge.linalg import (
 
 
 def mat(p, rows):
-    return Matrix.from_rows(Field(p), rows)
+    return Matrix(Field(p), rows)
 
 
 def test_field_validates_prime():

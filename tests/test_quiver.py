@@ -253,20 +253,20 @@ def test_decompose_known_sums():
 def test_decompose_nontrivial_block_form():
     # dims (1,2) with map [[1],[0]]: splits as P1 + S2 even though the
     # matrix is not block diagonal against the standard ordering
-    m = Rep(A2, F2, (1, 2), [Matrix.from_rows(F2, [[1], [0]])])
+    m = Rep(A2, F2, (1, 2), [Matrix(F2, [[1], [0]])])
     facs = decompose(m)
     assert sorted(f.dims for f in facs) == [(0, 1), (1, 1)]
 
 
 def test_iso_invariance_under_base_change():
     # conjugating the arrow matrix by invertible vertex maps preserves class
-    m = Rep(A3, F3, (1, 2, 1), [Matrix.from_rows(F3, [[1], [2]]), Matrix.from_rows(F3, [[1, 1]])])
-    g2 = Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    m = Rep(A3, F3, (1, 2, 1), [Matrix(F3, [[1], [2]]), Matrix(F3, [[1, 1]])])
+    g2 = Matrix(F3, [[1, 1], [0, 1]])
     m2 = Rep(
         A3,
         F3,
         (1, 2, 1),
-        [g2 @ m.maps[0], m.maps[1] @ Matrix.from_rows(F3, [[1, 2], [0, 1]])],
+        [g2 @ m.maps[0], m.maps[1] @ Matrix(F3, [[1, 2], [0, 1]])],
     )
     assert iso_test(m, m2)
 
