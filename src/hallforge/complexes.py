@@ -21,9 +21,12 @@ conjugates B by [[1, h], [0, 1]], so iso classes of middles only depend on
 the extension class.
 
 Contractible complexes are generated by the cones K(i, n): P_i in degrees
-n and n+1 with identity differential.  Stripping these off by Gaussian
-elimination produces the minimal model plus the generator exponents; an
-independent contractibility check solves d h + h d = id directly.
+n and n+1 with identity differential.  A complex has such a summand exactly
+when some d_n has a nonzero scalar block P_i -> P_i.  Stripping removes one
+cone per such block by Gaussian elimination (a Schur complement of d_n and
+deletions from d_{n-1} and d_{n+1}), which produces the minimal model plus
+the generator exponents; `is_minimal` is the same scan finding no block.
+An independent contractibility check solves d h + h d = id directly.
 """
 
 from __future__ import annotations
@@ -825,185 +828,83 @@ def is_contractible(x: Complex) -> bool:
     return solve(Matrix(field, cols), target) is not None
 
 
+def _find_unit(cat: ComplexCategory, comps: dict, diffs: dict):
+    """The first cone block of a complex given by its multiplicity vectors
+    and per-vertex differential arrays: (n, i, s, r, c) with c != 0 the
+    scalar of the block P_i -> P_i of d_n from source copy r to target copy
+    s, read at vertex i.  Scans degree, generator, target copy, source copy;
+    None when the complex is minimal."""
+    p = cat.field.p
+    for n in sorted(diffs):
+        src, tgt = comps[n], comps[cat.next_deg(n)]
+        src_copies, tgt_copies = cat.copies_of(src), cat.copies_of(tgt)
+        src_offs, tgt_offs = cat.copy_offsets(src), cat.copy_offsets(tgt)
+        for i in range(1, cat.quiver.n + 1):
+            a = diffs[n][i - 1]
+            for s, (gs, _) in enumerate(tgt_copies):
+                if gs != i:
+                    continue
+                for r, (gr, _) in enumerate(src_copies):
+                    if gr == i:
+                        c = int(a[tgt_offs[s][i - 1], src_offs[r][i - 1]]) % p
+                        if c:
+                            return n, i, s, r, c
+    return None
+
+
 def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
     """Peel off cone summands by Gaussian elimination.
 
-    Scans d_n for a block P_i -> P_i with nonzero scalar (degree, generator,
-    target copy, source copy order), changes basis to detach that cone,
-    deletes the two copies, and repeats.  Returns the minimal remainder and
-    exponents keyed like the cone generators ("P{i}@{n}").
+    Repeatedly takes the first cone block that `_find_unit` finds: d_n maps
+    copy r of P_i in X_n to copy s of P_i in X_{n+1} by c·id, c != 0 (a
+    scalar at every vertex, because End(P_i) = k for an acyclic quiver).
+    Splitting off the cone K(i, n) on these two copies
+    - replaces d_n by its Schur complement d - c^-1 d[:, r] d[s, :] and
+      deletes the rows of s and the columns of r,
+    - deletes the rows of r from d_{n-1},
+    - deletes the columns of s from d_{n+1} (with period 2 this is d_{n-1}
+      again, and both deletions apply to it),
+    and changes nothing else.  Returns the minimal remainder and exponents
+    keyed like the cone generators ("P{i}@{n}").
     """
     cat = x.cat
-    field = cat.field
-    p = field.p
-    comps = {n: list(m) for n, m in x.comps.items()}
-    diffs = {n: [m.a.copy() for m in d] for n, d in x.diffs.items()}
+    p = cat.field.p
+    comps = dict(x.comps)
+    diffs = {n: [m.a for m in d] for n, d in x.diffs.items()}
     exps: dict[str, int] = {}
-
-    def mults_at(n):
-        return tuple(comps.get(n, [0] * cat.quiver.n))
-
-    def ensure_diff(n):
-        """Materialize d_n as zero arrays if both ends exist but it's absent."""
-        n1 = cat.next_deg(n)
-        if n is None or n1 is None:
-            return None
-        if n not in comps or n1 not in comps:
-            return None
-        if n not in diffs:
-            src = cat.rep_of(mults_at(n))
-            tgt = cat.rep_of(mults_at(n1))
-            diffs[n] = [
-                np.zeros((tgt.dims[v], src.dims[v]), dtype=np.int64)
-                for v in range(cat.quiver.n)
-            ]
-        return diffs[n]
-
-    def find_unit():
-        for n in sorted(comps):
-            n1 = cat.next_deg(n)
-            if n1 is None or n1 not in comps:
-                continue
-            d = ensure_diff(n)
-            if d is None:
-                continue
-            src_m = mults_at(n)
-            tgt_m = mults_at(n1)
-            offs_src = cat.copy_offsets(src_m)
-            offs_tgt = cat.copy_offsets(tgt_m)
-            src_copies = cat.copies_of(src_m)
-            tgt_copies = cat.copies_of(tgt_m)
-            for i in range(1, cat.quiver.n + 1):
-                vi = i - 1
-                for s_pos, (gi, _) in enumerate(tgt_copies):
-                    if gi != i:
-                        continue
-                    for r_pos, (gj, _) in enumerate(src_copies):
-                        if gj != i:
-                            continue
-                        # scalar of the P_i -> P_i block: trivial-path coord
-                        row = offs_tgt[s_pos][vi]
-                        col = offs_src[r_pos][vi]
-                        c0 = int(d[vi][row, col]) % p
-                        if c0:
-                            return n, i, s_pos, r_pos, c0
-        return None
-
-    def copy_slice(offs, copies, pos, v, gen_dims):
-        i = copies[pos][0]
-        start = offs[pos][v]
-        return start, start + gen_dims[i - 1][v]
-
-    gen_dims = [cat.proj(i).dims for i in range(1, cat.quiver.n + 1)]
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        n, i, s_pos, r_pos, c0 = hit
-        n1 = cat.next_deg(n)
-        cinv = field.inv(c0)
-        src_m = mults_at(n)
-        tgt_m = mults_at(n1)
-        offs_src = cat.copy_offsets(src_m)
-        offs_tgt = cat.copy_offsets(tgt_m)
-        src_copies = cat.copies_of(src_m)
-        tgt_copies = cat.copies_of(tgt_m)
-        d = diffs[n]
-
-        # base-change matrices per vertex: T on X_n, S on X_{n+1}
-        T = []
-        Tinv = []
-        S = []
-        Sinv = []
-        for v in range(cat.quiver.n):
-            dim_src = sum(gen_dims[g - 1][v] for g, _ in src_copies)
-            dim_tgt = sum(gen_dims[g - 1][v] for g, _ in tgt_copies)
-            r0, r1 = copy_slice(offs_src, src_copies, r_pos, v, gen_dims)
-            s0, s1 = copy_slice(offs_tgt, tgt_copies, s_pos, v, gen_dims)
-            t = np.eye(dim_src, dtype=np.int64)
-            # row block of copy r gains c^-1 * (row s of d restricted to other cols)
-            beta = d[v][s0:s1, :].copy()
-            beta[:, r0:r1] = 0
-            t[r0:r1, :] = (t[r0:r1, :] + cinv * beta) % p
-            tin = np.eye(dim_src, dtype=np.int64)
-            tin[r0:r1, :] = (tin[r0:r1, :] - cinv * beta) % p
-            # S = I - c^-1 gamma placed in the s-column block (other rows)
-            gamma = d[v][:, r0:r1].copy()
-            gamma[s0:s1, :] = 0
-            sm_block = (-cinv * gamma) % p
-            sm = np.eye(dim_tgt, dtype=np.int64)
-            sm[:, s0:s1] = (sm[:, s0:s1] + sm_block) % p
-            sinv = np.eye(dim_tgt, dtype=np.int64)
-            sinv[:, s0:s1] = (sinv[:, s0:s1] - sm_block) % p
-            T.append(t % p)
-            Tinv.append(tin % p)
-            S.append(sm % p)
-            Sinv.append(sinv % p)
-
-        # apply: d_n <- S d_n T^-1; d_{n-1} <- T d_{n-1}; d_{n+1} <- d_{n+1} S^-1
-        left_updates: dict[int, list[np.ndarray]] = {}
-        right_updates: dict[int, list[np.ndarray]] = {}
-        nprev = cat.prev_deg(n)
-        if nprev is not None and nprev in diffs:
-            left_updates[nprev] = T
-        if n1 in diffs and n1 != n:
-            right_updates[n1] = Sinv
-        for v in range(cat.quiver.n):
-            d[v] = (S[v] @ d[v] @ Tinv[v]) % p
-        for m0, L in left_updates.items():
-            if m0 == n:
-                continue
-            dm = diffs[m0]
-            for v in range(cat.quiver.n):
-                dm[v] = (L[v] @ dm[v]) % p
-        for m0, R in right_updates.items():
-            if m0 == n:
-                continue
-            dm = diffs[m0]
-            for v in range(cat.quiver.n):
-                dm[v] = (dm[v] @ R[v]) % p
-
-        # delete copy r_pos from degree n and copy s_pos from degree n+1
-        def delete_copy(deg, pos):
-            m = mults_at(deg)
-            copies = cat.copies_of(m)
-            offs = cat.copy_offsets(m)
-            gi = copies[pos][0]
-            for v in range(cat.quiver.n):
-                a0, a1 = copy_slice(offs, copies, pos, v, gen_dims)
-                if deg in diffs:
-                    diffs[deg][v] = np.delete(diffs[deg][v], np.s_[a0:a1], axis=1)
-                pd = cat.prev_deg(deg)
-                if pd is not None and pd in diffs:
-                    diffs[pd][v] = np.delete(diffs[pd][v], np.s_[a0:a1], axis=0)
-            comps[deg][gi - 1] -= 1
-            if not any(comps[deg]):
+    while (hit := _find_unit(cat, comps, diffs)) is not None:
+        n, i, s, r, c = hit
+        n0, n1 = cat.prev_deg(n), cat.next_deg(n)
+        src_offs, tgt_offs = cat.copy_offsets(comps[n]), cat.copy_offsets(comps[n1])
+        cinv = cat.field.inv(c)
+        for v, width in enumerate(cat.proj(i).dims):
+            rs = np.s_[src_offs[r][v]:src_offs[r][v] + width]
+            ss = np.s_[tgt_offs[s][v]:tgt_offs[s][v] + width]
+            d = diffs[n][v]
+            d = (d - cinv * d[:, rs] @ d[ss, :]) % p
+            diffs[n][v] = np.delete(np.delete(d, ss, axis=0), rs, axis=1)
+            if n0 in diffs:
+                diffs[n0][v] = np.delete(diffs[n0][v], rs, axis=0)
+            if n1 in diffs:
+                diffs[n1][v] = np.delete(diffs[n1][v], ss, axis=1)
+        for deg in (n, n1):
+            mults = list(comps[deg])
+            mults[i - 1] -= 1
+            comps[deg] = tuple(mults)
+            if not any(mults):
                 del comps[deg]
                 diffs.pop(deg, None)
-                pd = cat.prev_deg(deg)
-                if pd is not None:
-                    diffs.pop(pd, None)
-
-        # degree n+1 first so offsets at degree n stay valid
-        delete_copy(n1, s_pos)
-        delete_copy(n, r_pos)
+                diffs.pop(cat.prev_deg(deg), None)
         key = generator_key(i, n)
         exps[key] = exps.get(key, 0) + 1
-
-    out_comps = {n: tuple(m) for n, m in comps.items()}
-    out_diffs = {
-        n: tuple(Matrix(field, a) for a in d)
-        for n, d in diffs.items()
-        if n in out_comps and cat.next_deg(n) in out_comps
-    }
-    return Complex(cat, out_comps, out_diffs), exps
+    out_diffs = {n: tuple(Matrix(cat.field, a) for a in d) for n, d in diffs.items()}
+    return Complex(cat, comps, out_diffs), exps
 
 
 def is_minimal(x: Complex) -> bool:
     """No cone summand: every P_i -> P_i diagonal block scalar vanishes."""
-    stripped, exps = strip_contractibles(x)
-    return not exps
+    arrays = {n: [m.a for m in d] for n, d in x.diffs.items()}
+    return _find_unit(x.cat, x.comps, arrays) is None
 
 
 # ---- decomposition and isomorphism ----

@@ -186,6 +186,9 @@ class CategorySpec:
             isinstance(a, list) and len(a) == 2 for a in arrows
         ):
             raise SpecError("quiver.arrows must be a list of [tail, head] pairs")
+        for arrow in arrows:
+            for end in arrow:
+                _require_int("spec", "quiver.arrows endpoint", end)
         window = doc.get("window")
         lo = hi = None
         if window is not None:

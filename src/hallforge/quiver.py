@@ -573,11 +573,11 @@ class Registry:
 
     ``iso`` decides isomorphism.  ``key`` is an iso invariant that buckets
     the classes (``rep_invariant`` for reps, the degree profile plus the
-    rank of every differential block for complexes); it is computed once per classified object that misses the
-    encoding table and stored with each registered class, so ``iso`` only
-    runs between objects whose keys agree.  Not thread-safe: one registry
-    per thread.  Encodings of later witnesses are remembered so repeat
-    classifications hit the fast path.
+    rank of every differential block for complexes); it is computed once
+    per classified object that misses the encoding table and stored with
+    each registered class, so ``iso`` only runs between objects whose keys
+    agree.  Not thread-safe: one registry per thread.  Encodings of later
+    witnesses are remembered so repeat classifications hit the fast path.
     """
 
     def __init__(self, iso, key):

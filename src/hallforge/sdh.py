@@ -371,10 +371,9 @@ class SDH:
                     raise WindowOverflow(
                         "shift moves a minimal part outside the window"
                     )
-            m, exps = cx.strip_contractibles(shifted)
-            if exps:
+            if not cx.is_minimal(shifted):
                 raise SpecError("shift of a minimal complex must stay minimal")
-            key2 = (self.torus.vector(moved), self.stable.classify(m))
+            key2 = (self.torus.vector(moved), self.stable.classify(shifted))
             out[key2] = out.get(key2, Fraction(0)) + co
         return _prune(out)
 

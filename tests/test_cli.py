@@ -265,6 +265,16 @@ def test_exit_2_on_field_order_out_of_range(tmp_path):
     assert "SPEC_INVALID" in proc.stderr and "[2, 97]" in proc.stderr
 
 
+@pytest.mark.parametrize("end", [1.7, True, "1"], ids=["float", "bool", "string"])
+def test_exit_2_on_non_integer_arrow_endpoint(tmp_path, capsys, end):
+    # Quiver would read each of these as vertex 1, giving A2 and its spec hash
+    doc = dict(A2_ABELIAN, quiver={"vertices": 2, "arrows": [[end, 2]]})
+    rc = cli.main(["table", "--spec", write_spec(tmp_path, doc), "--dim-cap", "1,1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "SPEC_INVALID" in err and "quiver.arrows endpoint" in err
+
+
 def test_exit_2_on_sdh_over_abelian(tmp_path, capsys):
     spec = write_spec(tmp_path, A2_ABELIAN)
     x, y = simple_elements(tmp_path)
@@ -369,6 +379,14 @@ A2_ABELIAN_Q3 = {
     "backend": "abelian",
 }
 
+A2_PERIODIC = {
+    "format_version": 1,
+    "field": {"q": 2},
+    "quiver": {"vertices": 2, "arrows": [[1, 2]]},
+    "backend": "periodic",
+    "period": 2,
+}
+
 # sha256 of the A2 q=2 window [0,1] cap-1 tables (dh and sdh recorded
 # before the projective-sum memos of ComplexCategory existed, hall and
 # twisted before the coefficient combiners and decoders were merged), and of
@@ -381,6 +399,10 @@ BOUNDED_TABLE_SHA256 = {
     "twisted": "61e4b23e5aaea1c0ccff15c66f363bd1b6b47e144c79cd1690ccacfdf6078e8e",
 }
 ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b2298098d6501abe6ada"
+# sha256 of the A2 q=2 period-2 cap-1 sdh table, recorded before cones were
+# stripped by Schur complements: with period 2, d_{n-1} and d_{n+1} are one
+# matrix, and stripping a cone deletes rows and columns of it
+PERIODIC_SDH_SHA256 = "6da944a4afabc371103ab82fb60b721976507d160fb0bfc5afbdb0b160da9399"
 
 # sha256 of dump_doc(report_body(report)), recorded when `verify` still
 # offered a thread fan-out, so the serial loops must reproduce those bytes
@@ -394,8 +416,9 @@ REPORT_BODY_SHA256 = {
 @pytest.mark.parametrize(
     "doc, cap, algebra, digest",
     [(A2_BOUNDED, "1", a, d) for a, d in BOUNDED_TABLE_SHA256.items()]
-    + [(A2_ABELIAN_Q3, "1,1", "twisted", ABELIAN_Q3_TWISTED_SHA256)],
-    ids=list(BOUNDED_TABLE_SHA256) + ["abelian-q3-twisted"],
+    + [(A2_ABELIAN_Q3, "1,1", "twisted", ABELIAN_Q3_TWISTED_SHA256)]
+    + [(A2_PERIODIC, "1", "sdh", PERIODIC_SDH_SHA256)],
+    ids=list(BOUNDED_TABLE_SHA256) + ["abelian-q3-twisted", "periodic-2-sdh"],
 )
 def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, digest):
     spec = write_spec(tmp_path, doc)

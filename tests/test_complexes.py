@@ -465,6 +465,239 @@ def test_strip_mixed_generators_bounded():
     assert exps == {"P1@0": 1, "P1@1": 1}
 
 
+# ---- Schur-complement stripping against the base-change reference ----
+
+
+def _reference_strip(x):
+    """strip_contractibles by explicit base change, as it was written before
+    the Schur-complement step: per vertex it builds T on X_n and S on
+    X_{n+1} (with their inverses), applies d_n <- S d_n T^-1,
+    d_{n-1} <- T d_{n-1} and d_{n+1} <- d_{n+1} S^-1, and then deletes the
+    two copies."""
+    cat = x.cat
+    field = cat.field
+    p = field.p
+    comps = {n: list(m) for n, m in x.comps.items()}
+    diffs = {n: [m.a.copy() for m in d] for n, d in x.diffs.items()}
+    exps: dict[str, int] = {}
+
+    def mults_at(n):
+        return tuple(comps.get(n, [0] * cat.quiver.n))
+
+    def ensure_diff(n):
+        """Materialize d_n as zero arrays if both ends exist but it's absent."""
+        n1 = cat.next_deg(n)
+        if n is None or n1 is None:
+            return None
+        if n not in comps or n1 not in comps:
+            return None
+        if n not in diffs:
+            src = cat.rep_of(mults_at(n))
+            tgt = cat.rep_of(mults_at(n1))
+            diffs[n] = [
+                np.zeros((tgt.dims[v], src.dims[v]), dtype=np.int64)
+                for v in range(cat.quiver.n)
+            ]
+        return diffs[n]
+
+    def find_unit():
+        for n in sorted(comps):
+            n1 = cat.next_deg(n)
+            if n1 is None or n1 not in comps:
+                continue
+            d = ensure_diff(n)
+            if d is None:
+                continue
+            src_m = mults_at(n)
+            tgt_m = mults_at(n1)
+            offs_src = cat.copy_offsets(src_m)
+            offs_tgt = cat.copy_offsets(tgt_m)
+            src_copies = cat.copies_of(src_m)
+            tgt_copies = cat.copies_of(tgt_m)
+            for i in range(1, cat.quiver.n + 1):
+                vi = i - 1
+                for s_pos, (gi, _) in enumerate(tgt_copies):
+                    if gi != i:
+                        continue
+                    for r_pos, (gj, _) in enumerate(src_copies):
+                        if gj != i:
+                            continue
+                        # scalar of the P_i -> P_i block: trivial-path coord
+                        row = offs_tgt[s_pos][vi]
+                        col = offs_src[r_pos][vi]
+                        c0 = int(d[vi][row, col]) % p
+                        if c0:
+                            return n, i, s_pos, r_pos, c0
+        return None
+
+    def copy_slice(offs, copies, pos, v, gen_dims):
+        i = copies[pos][0]
+        start = offs[pos][v]
+        return start, start + gen_dims[i - 1][v]
+
+    gen_dims = [cat.proj(i).dims for i in range(1, cat.quiver.n + 1)]
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        n, i, s_pos, r_pos, c0 = hit
+        n1 = cat.next_deg(n)
+        cinv = field.inv(c0)
+        src_m = mults_at(n)
+        tgt_m = mults_at(n1)
+        offs_src = cat.copy_offsets(src_m)
+        offs_tgt = cat.copy_offsets(tgt_m)
+        src_copies = cat.copies_of(src_m)
+        tgt_copies = cat.copies_of(tgt_m)
+        d = diffs[n]
+
+        # base-change matrices per vertex: T on X_n, S on X_{n+1}
+        T = []
+        Tinv = []
+        S = []
+        Sinv = []
+        for v in range(cat.quiver.n):
+            dim_src = sum(gen_dims[g - 1][v] for g, _ in src_copies)
+            dim_tgt = sum(gen_dims[g - 1][v] for g, _ in tgt_copies)
+            r0, r1 = copy_slice(offs_src, src_copies, r_pos, v, gen_dims)
+            s0, s1 = copy_slice(offs_tgt, tgt_copies, s_pos, v, gen_dims)
+            t = np.eye(dim_src, dtype=np.int64)
+            # row block of copy r gains c^-1 * (row s of d restricted to other cols)
+            beta = d[v][s0:s1, :].copy()
+            beta[:, r0:r1] = 0
+            t[r0:r1, :] = (t[r0:r1, :] + cinv * beta) % p
+            tin = np.eye(dim_src, dtype=np.int64)
+            tin[r0:r1, :] = (tin[r0:r1, :] - cinv * beta) % p
+            # S = I - c^-1 gamma placed in the s-column block (other rows)
+            gamma = d[v][:, r0:r1].copy()
+            gamma[s0:s1, :] = 0
+            sm_block = (-cinv * gamma) % p
+            sm = np.eye(dim_tgt, dtype=np.int64)
+            sm[:, s0:s1] = (sm[:, s0:s1] + sm_block) % p
+            sinv = np.eye(dim_tgt, dtype=np.int64)
+            sinv[:, s0:s1] = (sinv[:, s0:s1] - sm_block) % p
+            T.append(t % p)
+            Tinv.append(tin % p)
+            S.append(sm % p)
+            Sinv.append(sinv % p)
+
+        # apply: d_n <- S d_n T^-1; d_{n-1} <- T d_{n-1}; d_{n+1} <- d_{n+1} S^-1
+        left_updates: dict[int, list[np.ndarray]] = {}
+        right_updates: dict[int, list[np.ndarray]] = {}
+        nprev = cat.prev_deg(n)
+        if nprev is not None and nprev in diffs:
+            left_updates[nprev] = T
+        if n1 in diffs and n1 != n:
+            right_updates[n1] = Sinv
+        for v in range(cat.quiver.n):
+            d[v] = (S[v] @ d[v] @ Tinv[v]) % p
+        for m0, L in left_updates.items():
+            if m0 == n:
+                continue
+            dm = diffs[m0]
+            for v in range(cat.quiver.n):
+                dm[v] = (L[v] @ dm[v]) % p
+        for m0, R in right_updates.items():
+            if m0 == n:
+                continue
+            dm = diffs[m0]
+            for v in range(cat.quiver.n):
+                dm[v] = (dm[v] @ R[v]) % p
+
+        # delete copy r_pos from degree n and copy s_pos from degree n+1
+        def delete_copy(deg, pos):
+            m = mults_at(deg)
+            copies = cat.copies_of(m)
+            offs = cat.copy_offsets(m)
+            gi = copies[pos][0]
+            for v in range(cat.quiver.n):
+                a0, a1 = copy_slice(offs, copies, pos, v, gen_dims)
+                if deg in diffs:
+                    diffs[deg][v] = np.delete(diffs[deg][v], np.s_[a0:a1], axis=1)
+                pd = cat.prev_deg(deg)
+                if pd is not None and pd in diffs:
+                    diffs[pd][v] = np.delete(diffs[pd][v], np.s_[a0:a1], axis=0)
+            comps[deg][gi - 1] -= 1
+            if not any(comps[deg]):
+                del comps[deg]
+                diffs.pop(deg, None)
+                pd = cat.prev_deg(deg)
+                if pd is not None:
+                    diffs.pop(pd, None)
+
+        # degree n+1 first so offsets at degree n stay valid
+        delete_copy(n1, s_pos)
+        delete_copy(n, r_pos)
+        key = cx.generator_key(i, n)
+        exps[key] = exps.get(key, 0) + 1
+
+    out_comps = {n: tuple(m) for n, m in comps.items()}
+    out_diffs = {
+        n: tuple(Matrix(field, a) for a in d)
+        for n, d in diffs.items()
+        if n in out_comps and cat.next_deg(n) in out_comps
+    }
+    return Complex(cat, out_comps, out_diffs), exps
+
+
+A3 = Quiver(3, [(1, 2), (2, 3)])
+A3_OP = Quiver(3, [(2, 1), (3, 2)])
+KRONECKER = Quiver(2, [(1, 2), (1, 2)])
+
+# the enumerated objects (total dimension <= 3) and all their pairwise sums
+_STRIP_GRIDS = {
+    "a2-bounded-01-q2": lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=1),
+    "a2-bounded-01-q3": lambda: ComplexCategory(A2, F3, "bounded", lo=0, hi=1),
+    "a2-bounded-02-q2": lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=2),
+    "a2-periodic-2-q2": lambda: ComplexCategory(A2, F2, "periodic", period=2),
+    "a2-periodic-2-q3": lambda: ComplexCategory(A2, F3, "periodic", period=2),
+    "a2-periodic-3-q2": lambda: ComplexCategory(A2, F2, "periodic", period=3),
+    "a3-bounded-01": lambda: ComplexCategory(A3, F2, "bounded", lo=0, hi=1),
+    "a3-op-bounded-01": lambda: ComplexCategory(A3_OP, F2, "bounded", lo=0, hi=1),
+    "kronecker-bounded-01": lambda: ComplexCategory(KRONECKER, F2, "bounded", lo=0, hi=1),
+}
+
+# the extension middles between the first few enumerated classes, where
+# nearly every object has cones to strip
+_MIDDLE_GRIDS = {
+    "a2-bounded-02-q3": lambda: ComplexCategory(A2, F3, "bounded", lo=0, hi=2),
+    "a2-periodic-2-q3": lambda: ComplexCategory(A2, F3, "periodic", period=2),
+    "a3-periodic-2-q2": lambda: ComplexCategory(A3, F2, "periodic", period=2),
+}
+
+
+def _assert_strip_matches_reference(objs):
+    cones = 0
+    for x in objs:
+        m, exps = strip_contractibles(x)
+        ref_m, ref_exps = _reference_strip(x)
+        assert (m.encoding(), exps) == (ref_m.encoding(), ref_exps)
+        assert is_minimal(x) == (not exps)
+        cones += bool(exps)
+    assert 0 < cones < len(objs)
+
+
+@pytest.mark.parametrize("grid", sorted(_STRIP_GRIDS))
+def test_strip_matches_base_change_reference(grid):
+    reg = enumerate_complexes(_STRIP_GRIDS[grid](), max_total_dim=3)
+    objs = [reg.object(i) for i in range(len(reg))]
+    _assert_strip_matches_reference(
+        objs + [direct_sum_cx(a, b) for a, b in itertools.product(objs, repeat=2)]
+    )
+
+
+@pytest.mark.parametrize("grid", sorted(_MIDDLE_GRIDS))
+def test_strip_matches_base_change_reference_on_middles(grid):
+    reg = enumerate_complexes(_MIDDLE_GRIDS[grid](), max_total_dim=3)
+    classes = [reg.object(i) for i in range(min(len(reg), 15))]
+    _assert_strip_matches_reference([
+        middle_term_cx(a, c, f)
+        for a, c in itertools.product(classes, repeat=2)
+        for f in ext1_classes(a, c).reps
+    ])
+
+
 def test_decompose_cx_frozen():
     cat = a1_periodic()
     gens = contractible_generators(cat)
