@@ -121,11 +121,6 @@ class ComplexCategory:
             return list(range(self.lo, self.hi + 1))
         return list(range(self.period))
 
-    def internal_degrees(self) -> list[int]:
-        if self.kind == "bounded":
-            return list(range(self.lo - self.headroom, self.hi + self.headroom + 1))
-        return list(range(self.period))
-
     def wrap(self, n: int) -> int | None:
         """Map an integer degree to a storage degree; None if off the edge."""
         if self.kind == "periodic":
@@ -676,22 +671,31 @@ def _cocycle_columns(space: _MapSpace, ker, p: int) -> np.ndarray:
     return basis @ np.stack(ker, axis=1) % p
 
 
+def _cohomology(x: Complex, y: Complex, k: int):
+    """H^k of the Hom complex from x to y, None if it has no cocycles, else
+    (map space, raw cocycle columns, indices of the complement cocycles).
+
+    H^0 is stable Hom and H^1 is Ext^1.  One row reduction of
+    [coboundaries | cocycles] picks the first cocycles independent modulo
+    the coboundaries; these lie in the cocycles, so the pivots number dim Z^k.
+    """
+    field = x.cat.field
+    space = _map_space(x, y, k)
+    ker = _chain_constraint_kernel(x, y, k, space)
+    if not ker:
+        return None
+    zcols = _cocycle_columns(space, ker, field.p)
+    bcols = _homotopy_image_columns(x, y, k, space)
+    nb = bcols.shape[1]
+    piv = rref(Matrix(field, np.concatenate([bcols, zcols], axis=1)))[1]
+    assert len(piv) == len(ker), "coboundaries escaped the cocycle space"
+    return space, zcols, [c0 - nb for c0 in piv if c0 >= nb]
+
+
 def stable_hom_dim(x: Complex, y: Complex) -> int:
     """log_p of the chain maps modulo null-homotopic ones."""
-    space = _map_space(x, y, 0)
-    ker = _chain_constraint_kernel(x, y, 0, space)
-    if not ker:
-        return 0
-    field = x.cat.field
-    zcols = _cocycle_columns(space, ker, field.p)
-    bcols = _homotopy_image_columns(x, y, 0, space)
-    zdim = len(ker)
-    bdim = rank(Matrix(field, bcols)) if bcols.shape[1] else 0
-    # null-homotopic maps are chain maps, so the quotient dimension is direct
-    both = np.concatenate([bcols, zcols], axis=1) % field.p
-    total = rank(Matrix(field, both))
-    assert total == zdim, "homotopies escaped the chain-map space"
-    return zdim - bdim
+    h = _cohomology(x, y, 0)
+    return 0 if h is None else len(h[2])
 
 
 def stable_hom_card(x: Complex, y: Complex) -> int:
@@ -710,32 +714,23 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
     """Extension classes of conflations c >-> B ->> a.
 
     Cocycles are degree-1 maps a -> c with d_c f + f d_a = 0; classes are
-    cosets of the coboundaries h d_a - d_c h.  Representatives enumerate a
-    complement lexicographically, zero (split) class first.
+    cosets of the coboundaries h d_a - d_c h.  Representatives combine the
+    complement cocycles of `_cohomology` lexicographically, zero (split)
+    class first.
     """
-    cat = a.cat
-    field = cat.field
-    p = field.p
-    space = _map_space(a, c, 1)
-    ker = _chain_constraint_kernel(a, c, 1, space)
-    zdim = len(ker)
-    if zdim == 0:
+    h = _cohomology(a, c, 1)
+    if h is None:
         return CxExt1(0, [{}] if enumerate_reps else None)
-    zcols = _cocycle_columns(space, ker, p)
-    bcols = _homotopy_image_columns(a, c, 1, space)
-    bdim = rank(Matrix(field, bcols)) if bcols.shape[1] else 0
-    dim = zdim - bdim
+    space, zcols, compl = h
+    dim = len(compl)
     if not enumerate_reps:
         return CxExt1(dim, None)
+    field = a.cat.field
+    p = field.p
     if p**dim > caps.max_ext_enum:
         raise ExtEnumCapExceeded(
             f"|Ext^1| = {p}^{dim} exceeds enumeration cap {caps.max_ext_enum}"
         )
-    # complement of the coboundaries inside the cocycles, in raw coordinates
-    probe = np.concatenate([bcols, zcols], axis=1) % p
-    piv = rref(Matrix(field, probe))[1]
-    compl = [c0 - bcols.shape[1] for c0 in piv if c0 >= bcols.shape[1]]
-    assert len(compl) == dim
     reps = []
     for coeffs in itertools.product(range(p), repeat=dim):
         vec = np.zeros(space.raw_dim, dtype=np.int64)

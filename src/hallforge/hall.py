@@ -32,7 +32,6 @@ from .quiver import (
     Rep,
     euler_exponent,
     ext1_space,
-    hom_dim,
     iso_test,
     middle_term,
     rep_invariant,
@@ -123,9 +122,6 @@ class SqrtExt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other):
         if isinstance(other, SqrtExt):
             return (self.q, self.a, self.b) == (other.q, other.a, other.b)
@@ -204,9 +200,6 @@ class RepBackend:
     def zero_id(self) -> int:
         return self.classify(Rep.zero(self.quiver, self.field))
 
-    def hom_card(self, a: Rep, c: Rep) -> int:
-        return self.field.p ** hom_dim(a, c)
-
     def raw_ext_data(self, a: Rep, c: Rep):
         """(hom cardinality, [(middle encoding, class count)])."""
         ext = ext1_space(a, c, self.caps)
@@ -214,7 +207,7 @@ class RepBackend:
         # rep_registry's twin, built here so its iso tests run through this
         # module's iso_test binding (the one perfbench's tracer counts)
         reg = Registry(lambda x, y: iso_test(x, y, self.caps), rep_invariant)
-        return self.hom_card(a, c), _group_middles(encs, self.decode, reg)
+        return self.field.p ** ext.hom_dim, _group_middles(encs, self.decode, reg)
 
     def euler_exp(self, a: Rep, c: Rep) -> int:
         return euler_exponent(self.quiver, a.dims, c.dims)
@@ -261,14 +254,11 @@ class CxBackend:
     def zero_id(self) -> int:
         return self.classify(self.cat.zero_complex())
 
-    def hom_card(self, a: cx.Complex, c: cx.Complex) -> int:
-        return cx.hom_card(a, c)
-
     def raw_ext_data(self, a: cx.Complex, c: cx.Complex):
         ext = cx.ext1_classes(a, c, self.caps)
         encs = [cx.middle_term_cx(a, c, f).encoding() for f in ext.reps]
         reg = cx.cx_registry(self.cat, self.caps)
-        return self.hom_card(a, c), _group_middles(encs, self.decode, reg)
+        return cx.hom_card(a, c), _group_middles(encs, self.decode, reg)
 
     def euler_exp(self, a: cx.Complex, c: cx.Complex) -> int:
         return cx.euler_exponent_cx(a, c)  # raises EulerUndefined when periodic

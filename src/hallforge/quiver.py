@@ -9,11 +9,13 @@ Conventions:
 - A morphism a -> b is a tuple of per-vertex matrices g_v of shape
   (b.dims[v], a.dims[v]) with g_head a_alpha = b_alpha g_tail for every
   arrow alpha.
-- Ext^1(a, c) classifies conflations c >-> B ->> a.  The cocycle space is
-  the full space of arrow-indexed matrices f_alpha: a_tail -> c_head; the
-  coboundary subspace is the image of (g_v) -> (c_alpha g_tail - g_head
-  a_alpha).  The middle term of a cocycle f puts c first:
-  B_v = c_v (+) a_v with arrow blocks [[c_alpha, f_alpha], [0, a_alpha]].
+- Hom(a, c) = ker delta and Ext^1(a, c) = coker delta for the one map
+  delta (g_v) = (g_head a_alpha - c_alpha g_tail) into the arrow-indexed
+  cocycles f_alpha: a_tail -> c_head; one row reduction of [delta | I]
+  gives rank delta and a complement of im delta (see ext1_space).
+  Ext^1(a, c) classifies conflations c >-> B ->> a; the middle term of a
+  cocycle f puts c first: B_v = c_v (+) a_v with arrow blocks
+  [[c_alpha, f_alpha], [0, a_alpha]].
 
 Everything is deterministic: dimension vectors enumerate in graded
 lexicographic order, matrices in lexicographic entry order, and registries
@@ -166,7 +168,8 @@ def _kron_mod(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _hom_constraint_matrix(a: Rep, b: Rep) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
-    """Rows: intertwiner equations; columns: row-major vec of each g_v.
+    """delta (g_v) = (g_head a_alpha - b_alpha g_tail).  Columns: row-major
+    vec of each g_v; rows: row-major f_alpha, arrow by arrow.
 
     Returns (matrix, vertex offsets, per-vertex shapes (rows, cols) of g_v).
     """
@@ -228,87 +231,48 @@ def hom_dim(a: Rep, b: Rep) -> int:
 
 @dataclass
 class Ext1Space:
-    """Ext^1(a, c) data: dimension and one cocycle per extension class."""
+    """Ext^1(a, c) data: dimension, one cocycle per class, dim Hom(a, c)."""
 
     dim: int
     reps: list[tuple[Matrix, ...]] | None
-
-
-def _ext1_setup(a: Rep, c: Rep):
-    """Cocycle coordinates and the coboundary matrix for Ext^1(a, c)."""
-    p = a.field.p
-    q = a.quiver
-    fshapes = [(c.dims[h - 1], a.dims[t - 1]) for t, h in q.arrows]
-    fsizes = [r * s for r, s in fshapes]
-    foffs = [0]
-    for s in fsizes:
-        foffs.append(foffs[-1] + s)
-    z = foffs[-1]
-
-    gshapes = [(c.dims[v], a.dims[v]) for v in range(q.n)]
-    gsizes = [r * s for r, s in gshapes]
-    goffs = [0]
-    for s in gsizes:
-        goffs.append(goffs[-1] + s)
-    g = goffs[-1]
-
-    d = np.zeros((z, g), dtype=np.int64)
-    for i, (t, h) in enumerate(q.arrows):
-        if fsizes[i] == 0:
-            continue
-        # f_alpha slot receives c_alpha g_tail - g_head a_alpha
-        if gsizes[t - 1]:
-            d[foffs[i]:foffs[i + 1], goffs[t - 1]:goffs[t]] = _kron_mod(
-                p, c.maps[i].a, np.eye(a.dims[t - 1], dtype=np.int64)
-            )
-        if gsizes[h - 1]:
-            d[foffs[i]:foffs[i + 1], goffs[h - 1]:goffs[h]] = (
-                d[foffs[i]:foffs[i + 1], goffs[h - 1]:goffs[h]]
-                - _kron_mod(p, np.eye(c.dims[h - 1], dtype=np.int64), a.maps[i].a.T)
-            ) % p
-    return z, foffs, fshapes, d
+    hom_dim: int
 
 
 def ext1_space(a: Rep, c: Rep, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool = True) -> Ext1Space:
-    """Ext^1(a, c): dimension and, if requested, one cocycle per class.
+    """Ext^1(a, c) and dim Hom(a, c); if requested, one cocycle per class.
 
-    Class representatives span a complement of the coboundaries inside the
-    cocycle space; enumeration is lexicographic over complement coordinates,
-    so the zero (split) class always comes first.
+    Hom = ker delta and Ext^1 = coker delta, delta = _hom_constraint_matrix.
+    One row reduction of [delta | I] gives both: the pivots left of I number
+    rank delta, and those inside I pick the coordinate vectors spanning a
+    complement of im delta.  Classes enumerate lexicographically over the
+    complement coordinates, so the zero (split) class always comes first.
     """
     field = a.field
     p = field.p
-    z, foffs, fshapes, d = _ext1_setup(a, c)
-    if z == 0:
-        dim = 0
-        compl: list[int] = []
-    else:
-        dmat = Matrix(field, d)
-        piv = rref(dmat)[1]
-        r = len(piv)
-        dim = z - r
-        if dim:
-            im_cols = d[:, list(piv)] if r else np.zeros((z, 0), dtype=np.int64)
-            probe = np.concatenate([im_cols, np.eye(z, dtype=np.int64)], axis=1)
-            ppiv = rref(Matrix(field, probe))[1]
-            compl = [c0 - r for c0 in ppiv if c0 >= r]
-            assert len(compl) == dim
-        else:
-            compl = []
+    delta, _, _ = _hom_constraint_matrix(a, c)
+    z, g = delta.shape
+    piv = rref(Matrix(field, np.concatenate([delta, np.eye(z, dtype=np.int64)], axis=1)))[1]
+    assert len(piv) == z
+    compl = [c0 - g for c0 in piv if c0 >= g]
+    dim = len(compl)
+    hom = g - (z - dim)  # the other pivots are a basis of im delta
     if not enumerate_reps:
-        return Ext1Space(dim, None)
+        return Ext1Space(dim, None, hom)
     count = p**dim
     if count > caps.max_ext_enum:
         raise ExtEnumCapExceeded(
             f"|Ext^1| = {p}^{dim} exceeds enumeration cap {caps.max_ext_enum}"
         )
+    # cocycle coordinates: f_alpha: a_tail -> c_head, row-major, arrow by arrow
+    fshapes = [(c.dims[h - 1], a.dims[t - 1]) for t, h in a.quiver.arrows]
+    foffs = [0, *itertools.accumulate(r * s for r, s in fshapes)]
     reps = []
     for coeffs in itertools.product(range(p), repeat=dim):
         vec = np.zeros(z, dtype=np.int64)
         for c0, pos in zip(coeffs, compl):
             vec[pos] = c0
         reps.append(_unvec(field, vec, foffs, fshapes))
-    return Ext1Space(dim, reps)
+    return Ext1Space(dim, reps, hom)
 
 
 def middle_term(a: Rep, c: Rep, f: tuple[Matrix, ...]) -> Rep:

@@ -251,13 +251,15 @@ class SDH:
             raise RelEulerUndefined(
                 "relative Euler pairing needs a bounded window"
             )
-        e = cx.hom_dim_cx(a, b) - cx.stable_hom_dim(a, b)
+        return cx.hom_dim_cx(a, b) - cx.stable_hom_dim(a, b) + self._neg_ext_exponent(a, b)
+
+    def _neg_ext_exponent(self, a: Complex, c: Complex) -> int:
+        """sum_{i=1}^{w+1} (-1)^(i+1) dim stable Hom(a, c[-i]), w the window
+        width: log_q of the alternating product of negative stable exts."""
         width = self.cat.hi - self.cat.lo
-        sign = 1
-        for i in range(1, width + 2):
-            e += sign * cx.stable_hom_dim(a, cx.shift(b, -i))
-            sign = -sign
-        return e
+        return sum(
+            (-1) ** (i + 1) * cx.stable_hom_dim(a, cx.shift(c, -i)) for i in range(1, width + 2)
+        )
 
     def rel_euler(self, a: Complex, b: Complex) -> Fraction:
         return _q_power(self.q, self.rel_euler_exponent(a, b))
@@ -314,13 +316,7 @@ class SDH:
             u = self.stable.classify(m)
             counts[u] = counts.get(u, 0) + 1
         denom = Fraction(cx.stable_hom_card(a, c))
-        corr = Fraction(1)
-        width = self.cat.hi - self.cat.lo
-        sign = 1
-        for i in range(1, width + 2):
-            card = cx.stable_hom_card(a, cx.shift(c, -i))
-            corr = corr * card if sign > 0 else corr / card
-            sign = -sign
+        corr = _q_power(self.q, self._neg_ext_exponent(a, c))
         return {u: Fraction(counts[u]) * corr / denom for u in sorted(counts)}
 
     def dh_product(self, x: dict, y: dict) -> dict:

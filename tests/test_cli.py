@@ -43,6 +43,14 @@ A1_BOUNDED = {
     "window": [0, 1],
 }
 
+A2_BOUNDED = {
+    "format_version": 1,
+    "field": {"q": 2},
+    "quiver": {"vertices": 2, "arrows": [[1, 2]]},
+    "backend": "bounded",
+    "window": [0, 1],
+}
+
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
@@ -290,6 +298,54 @@ def test_exit_2_on_spec_hash_mismatch(tmp_path):
     assert rc == 2
 
 
+# element-file encodings that name no object of the spec: a complex with
+# d d != 0, a differential that is no representation morphism, and
+# malformed shapes or entries, each with the spec it is read against
+BAD_ENCODINGS = {
+    "complex-dd-nonzero": (
+        dict(A2_BOUNDED, window=[0, 2]),
+        [[[0, [1, 0]], [1, [1, 0]], [2, [1, 0]]], [[0, [[[1]], [[1]]]], [1, [[[1]], [[1]]]]]],
+    ),
+    "complex-not-a-morphism": (A2_BOUNDED, [[[0, [1, 0]], [1, [1, 0]]], [[0, [[[1]], [[0]]]]]]),
+    "complex-string": (A2_BOUNDED, "x"),
+    "complex-number": (A2_BOUNDED, 5),
+    "complex-row-length": (A2_BOUNDED, [[[0, [1, 0]], [1, [1, 0]]], [[0, [[[1, 1]], [[1]]]]]]),
+    "complex-degree-outside": (A2_BOUNDED, [[[9, [1, 0]]], []]),
+    "rep-dims-length": (A2_ABELIAN, [[1, 1, 1], [[[1]]]]),
+    "rep-row-length": (A2_ABELIAN, [[1, 1], [[[1, 1]]]]),
+    "rep-entry-outside-field": (A2_ABELIAN, [[1, 1], [[[2]]]]),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        (case, command)
+        for case in sorted(BAD_ENCODINGS)
+        for command in ("product", "normalize")
+        # normalize needs a complex backend
+        if command == "product" or BAD_ENCODINGS[case][0]["backend"] != "abelian"
+    ],
+)
+def test_exit_2_on_invalid_element_encoding(tmp_path, capsys, case, command):
+    doc, enc = BAD_ENCODINGS[case]
+    spec = write_spec(tmp_path, doc)
+    el = tmp_path / "x.json"
+    el.write_text(json.dumps({
+        "format_version": 1,
+        "kind": "element",
+        "spec_hash": CategorySpec.from_dict(doc).spec_hash,
+        "algebra": "hall",
+        "terms": [{"class": 0, "coeff": "1/1", "encoding": enc, "exponents": {}}],
+    }))
+    out = tmp_path / "out.json"
+    operands = [str(el), str(el)] if command == "product" else [str(el)]
+    rc = cli.main([command, "--spec", spec, *operands, "--out", str(out)])
+    assert rc == 2
+    assert "SPEC_INVALID" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_4_on_undefined_products(tmp_path, capsys):
     spec = write_spec(tmp_path, A1_PERIODIC)
     x = tmp_path / "x.json"
@@ -364,14 +420,6 @@ def test_periodic_verify_suites_all_pass(tmp_path, capsys):
 
 # ---- pinned artifact bytes: strict tables ----
 
-A2_BOUNDED = {
-    "format_version": 1,
-    "field": {"q": 2},
-    "quiver": {"vertices": 2, "arrows": [[1, 2]]},
-    "backend": "bounded",
-    "window": [0, 1],
-}
-
 A2_ABELIAN_Q3 = {
     "format_version": 1,
     "field": {"q": 3},
@@ -397,6 +445,9 @@ BOUNDED_TABLE_SHA256 = {
     "sdh": "f94ae11d733591866c3ca216f561d4ee509f12ff34efe157b6dabc79fcc75cb9",
     "hall": "8d1d3ff972709586758304b63f3639dc9adfdaec02f9b4e39b2305025057e921",
     "twisted": "61e4b23e5aaea1c0ccff15c66f363bd1b6b47e144c79cd1690ccacfdf6078e8e",
+    # recorded before stable Hom and Ext^1 shared one row reduction, as were
+    # the Kronecker and A3 tables below
+    "sdh-tw": "39b71c65e02ff2e1a82a1f1a6ac288750ac76d6248a25451a8d537d63e3dddd4",
 }
 ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b2298098d6501abe6ada"
 # sha256 of the A2 q=2 period-2 cap-1 sdh table, recorded before cones were
@@ -404,12 +455,27 @@ ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b229809
 # matrix, and stripping a cone deletes rows and columns of it
 PERIODIC_SDH_SHA256 = "6da944a4afabc371103ab82fb60b721976507d160fb0bfc5afbdb0b160da9399"
 
+KRONECKER_ABELIAN = dict(A2_ABELIAN, quiver={"vertices": 2, "arrows": [[1, 2], [1, 2]]})
+A3_INWARD_ABELIAN_Q3 = {
+    "format_version": 1,
+    "field": {"q": 3},
+    "quiver": {"vertices": 3, "arrows": [[1, 2], [3, 2]]},
+    "backend": "abelian",
+}
+KRONECKER_HALL_SHA256 = "3b946fec14460cd95312a672520026deff21fe752372bb3d21ff5cbb080c7590"
+A3_INWARD_Q3_TWISTED_SHA256 = "0f3a551fee9efbf15e896481814b830d51aba88a4704b47120651c710e6c2b35"
+
 # sha256 of dump_doc(report_body(report)), recorded when `verify` still
 # offered a thread fan-out, so the serial loops must reproduce those bytes
 REPORT_BODY_SHA256 = {
     "associativity": "2bbe299454cabb32b1b370906d0bafbb3a7a1c727745f9af173e2f959a80cab7",
     "lemma-ext": "55111abfafe26d0c237ed3ae42d71a9255902d3af0d2e3abb180fd9e2b2a6c0f",
     "shift-functor": "98e16c360798ba8a8abbf511008bd9bf8247fd4f578fdbe40ac4789754375121",
+    # on A2 q=2 window [0,1], recorded before stable Hom and Ext^1 shared
+    # one row reduction
+    "rel-euler": "4f20c752e79924529d9d0cff49e97cc59f39fde9903a3d9e5ddc2afa30365d45",
+    "toen": "b50736b7a4c926dc813458a020ffb1dc5a6846e7d9955d16bc2ef583ddfe3bfe",
+    "freeness": "da2b75f1ba06ae4d2db83ce20453db365cb7ba10ec48c1f347fa38411b02203e",
 }
 
 
@@ -417,8 +483,11 @@ REPORT_BODY_SHA256 = {
     "doc, cap, algebra, digest",
     [(A2_BOUNDED, "1", a, d) for a, d in BOUNDED_TABLE_SHA256.items()]
     + [(A2_ABELIAN_Q3, "1,1", "twisted", ABELIAN_Q3_TWISTED_SHA256)]
-    + [(A2_PERIODIC, "1", "sdh", PERIODIC_SDH_SHA256)],
-    ids=list(BOUNDED_TABLE_SHA256) + ["abelian-q3-twisted", "periodic-2-sdh"],
+    + [(A2_PERIODIC, "1", "sdh", PERIODIC_SDH_SHA256)]
+    + [(KRONECKER_ABELIAN, "1", "hall", KRONECKER_HALL_SHA256)]
+    + [(A3_INWARD_ABELIAN_Q3, "1", "twisted", A3_INWARD_Q3_TWISTED_SHA256)],
+    ids=list(BOUNDED_TABLE_SHA256)
+    + ["abelian-q3-twisted", "periodic-2-sdh", "kronecker-hall", "a3-inward-q3-twisted"],
 )
 def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, digest):
     spec = write_spec(tmp_path, doc)
@@ -441,8 +510,11 @@ def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, di
         ("associativity", A2_ABELIAN, "1,1"),
         ("lemma-ext", A1_PERIODIC, "1"),
         ("shift-functor", A1_PERIODIC, "1"),
+        ("rel-euler", A2_BOUNDED, "1"),
+        ("toen", A2_BOUNDED, "1"),
+        ("freeness", A2_BOUNDED, "1"),
     ],
-    ids=["associativity", "lemma-ext", "shift-functor"],
+    ids=["associativity", "lemma-ext", "shift-functor", "rel-euler", "toen", "freeness"],
 )
 def test_verify_report_body_bytes(tmp_path, capsys, suite, doc, cap):
     spec = write_spec(tmp_path, doc)

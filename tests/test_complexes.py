@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 import hallforge.complexes as cx
 from hallforge.config import DEFAULT_CAPS, Caps
 from hallforge.errors import EnumCapExceeded, SpecError, WindowOverflow
-from hallforge.linalg import Field, Matrix, kernel_basis, rank
+from hallforge.linalg import Field, Matrix, kernel_basis, rank, rref
 from hallforge.quiver import Quiver, Registry, hom_basis
 from hallforge.complexes import (
     _chain_constraint_kernel,
+    _cocycle_columns,
     _chain_constraint_matrix,
     _homotopy_image_columns,
     _map_space,
@@ -1310,3 +1311,94 @@ def test_find_chain_iso_tries_the_basis_sum_first(p, monkeypatch):
     assert d == hom_dim_cx(x, y) > 1
     assert tried[0] == (p - 1,) * d
     assert (0,) * d not in tried
+
+
+# ---- one-elimination H^0 and H^1 against the two-rank reference ----
+
+
+def _reference_cocycles(x, y, k):
+    """(map space, kernel, cocycle columns, coboundary columns, rank of the
+    coboundaries), each rank taken on its own as before H^0 and H^1 shared
+    one row reduction."""
+    space = _map_space(x, y, k)
+    ker = _chain_constraint_kernel(x, y, k, space)
+    if not ker:
+        return space, ker, None, None, 0
+    field = x.cat.field
+    zcols = _cocycle_columns(space, ker, field.p)
+    bcols = _homotopy_image_columns(x, y, k, space)
+    bdim = rank(Matrix(field, bcols)) if bcols.shape[1] else 0
+    return space, ker, zcols, bcols, bdim
+
+
+def _reference_stable_hom_dim(x, y):
+    space, ker, zcols, bcols, bdim = _reference_cocycles(x, y, 0)
+    if not ker:
+        return 0
+    both = np.concatenate([bcols, zcols], axis=1)
+    assert rank(Matrix(x.cat.field, both)) == len(ker)
+    return len(ker) - bdim
+
+
+def _reference_ext1_classes(a, c):
+    """(dim, representatives) with the complement from a second reduction
+    of [coboundaries | cocycles]."""
+    space, ker, zcols, bcols, bdim = _reference_cocycles(a, c, 1)
+    if not ker:
+        return 0, [{}]
+    field = a.cat.field
+    p = field.p
+    dim = len(ker) - bdim
+    piv = rref(Matrix(field, np.concatenate([bcols, zcols], axis=1)))[1]
+    compl = [c0 - bcols.shape[1] for c0 in piv if c0 >= bcols.shape[1]]
+    assert len(compl) == dim
+    reps = []
+    for coeffs in itertools.product(range(p), repeat=dim):
+        vec = np.zeros(space.raw_dim, dtype=np.int64)
+        for cf, j in zip(coeffs, compl):
+            vec = (vec + cf * zcols[:, j]) % p
+        comp = {}
+        for n in space.degrees:
+            offs, shapes = space.raw_offsets[n], space.shapes[n]
+            mats = tuple(
+                Matrix(field, vec[offs[v]:offs[v + 1]].reshape(shape))
+                for v, shape in enumerate(shapes)
+            )
+            if any(not m.is_zero() for m in mats):
+                comp[n] = mats
+        reps.append(comp)
+    return dim, reps
+
+
+def _cocycle_entries(reps):
+    return [
+        {n: tuple(m.entries() for m in mats) for n, mats in f.items()} for f in reps
+    ]
+
+
+_COHOMOLOGY_GRIDS = {
+    "a2-bounded-01-q2": lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=1),
+    "a2-bounded-01-q3": lambda: ComplexCategory(A2, F3, "bounded", lo=0, hi=1),
+    "a2-bounded-02-q2": lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=2),
+    "a2-periodic-2-q3": lambda: ComplexCategory(A2, F3, "periodic", period=2),
+    "a3-periodic-2-q2": lambda: ComplexCategory(A3, F2, "periodic", period=2),
+    "kronecker-bounded-01": lambda: ComplexCategory(KRONECKER, F2, "bounded", lo=0, hi=1),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_COHOMOLOGY_GRIDS))
+def test_cohomology_matches_two_rank_reference(grid):
+    reg = enumerate_complexes(_COHOMOLOGY_GRIDS[grid](), max_total_dim=3)
+    classes = reg.objs[:15]
+    nonzero = [0, 0]
+    for a, c in itertools.product(classes, repeat=2):
+        shom = stable_hom_dim(a, c)
+        assert shom == _reference_stable_hom_dim(a, c)
+        ext = ext1_classes(a, c)
+        dim, reps = _reference_ext1_classes(a, c)
+        assert ext.dim == dim == ext1_classes(a, c, enumerate_reps=False).dim
+        # the same representatives in the same order: same middles, same ids
+        assert _cocycle_entries(ext.reps) == _cocycle_entries(reps)
+        nonzero[0] += shom > 0
+        nonzero[1] += dim > 0
+    assert all(nonzero)
