@@ -128,9 +128,10 @@ def cmd_verify(args) -> int:
         report = run_suite(spec, args.suite, cap, cache=cache)
     finally:
         cache.close()
-    sys.stdout.write(files.dump_doc(report))
+    text = files.dump_doc(report)
+    sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(files.dump_doc(report), encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0 if report["status"] == "pass" else 1
 
 

@@ -212,6 +212,10 @@ class RepBackend:
     def euler_exp(self, a: Rep, c: Rep) -> int:
         return euler_exponent(self.quiver, a.dims, c.dims)
 
+    def _middle_head(self, a: Rep, c: Rep) -> tuple:
+        """First part of the encoding of every middle of (a, c): its dims."""
+        return tuple(x + y for x, y in zip(a.dims, c.dims))
+
 
 class CxBackend:
     """Complexes of projectives up to (strict) isomorphism: the exact
@@ -247,7 +251,8 @@ class CxBackend:
             src = self.cat.rep_of(comps[n]).dims
             tgt = self.cat.rep_of(comps[self.cat.next_deg(n)]).dims
             diffs[n] = tuple(
-                _matrix_of_rows(self.field, rows, tgt[v], src[v]) for v, rows in enumerate(vmats)
+                _matrix_of_rows(self.field, rows, t, s)
+                for s, t, rows in zip(src, tgt, vmats, strict=True)
             )
         return cx.Complex(self.cat, comps, diffs, validate=False)
 
@@ -262,6 +267,14 @@ class CxBackend:
 
     def euler_exp(self, a: cx.Complex, c: cx.Complex) -> int:
         return cx.euler_exponent_cx(a, c)  # raises EulerUndefined when periodic
+
+    def _middle_head(self, a: cx.Complex, c: cx.Complex) -> tuple:
+        """First part of the encoding of every middle of (a, c): the
+        multiplicities degree by degree, as conflations split degreewise."""
+        return tuple(
+            (n, tuple(x + y for x, y in zip(a.mults(n), c.mults(n))))
+            for n in sorted(set(a.comps) | set(c.comps))
+        )
 
 
 # ---- content-addressed structure-constant cache ----
@@ -278,6 +291,15 @@ def _json_to_enc(obj):
     if isinstance(obj, list):
         return tuple(_json_to_enc(x) for x in obj)
     return obj
+
+
+def _is_power(x, q: int) -> bool:
+    """x is an int q^k with k >= 0."""
+    if type(x) is not int or x < 1:
+        return False
+    while x % q == 0:
+        x //= q
+    return x == 1
 
 
 def pair_key(signature: tuple, enc_a, enc_c) -> str:
@@ -355,7 +377,8 @@ class HallAlgebra:
         """(hom cardinality, [(middle id, class count)]), cache-backed.
 
         Every call looks its pair up in the cache once; a record's middles
-        are decoded and classified only the first time its key is seen.
+        are decoded and classified only the first time its key is seen, and
+        a record that fails _resolve is recomputed as if it were missing.
         """
         bk = self.backend
         key = self._pair_keys.get((a_id, c_id))
@@ -363,21 +386,55 @@ class HallAlgebra:
             key = pair_key(bk.signature(), bk.encode(bk.object(a_id)), bk.encode(bk.object(c_id)))
             self._pair_keys[(a_id, c_id)] = key
         rec = self.cache.get(key)
-        if rec is None:
-            hom, middles = bk.raw_ext_data(bk.object(a_id), bk.object(c_id))
-            rec = {
-                "hom": hom,
-                "middles": [[_enc_to_json(enc), n] for enc, n in middles],
-            }
-            self.cache.put(key, rec)
         resolved = self._resolved.get(key)
         if resolved is None:
-            resolved = (rec["hom"], [
-                (bk.classify(bk.decode(_json_to_enc(enc_json))), n)
-                for enc_json, n in rec["middles"]
-            ])
+            a, c = bk.object(a_id), bk.object(c_id)
+            head = bk._middle_head(a, c)
+            resolved = None if rec is None else self._resolve(rec, head)
+            if resolved is None:
+                # missing or malformed: recompute; a malformed line stays on
+                # disk, as a torn one does, and this run uses the fresh record
+                hom, middles = bk.raw_ext_data(a, c)
+                rec = {
+                    "hom": hom,
+                    "middles": [[_enc_to_json(enc), n] for enc, n in middles],
+                }
+                self.cache.put(key, rec)
+                resolved = self._resolve(rec, head)
             self._resolved[key] = resolved
         return resolved[0], list(resolved[1])
+
+    def _resolve(self, rec, head: tuple) -> tuple | None:
+        """(hom, [(middle id, count)]) of a pair record, or None unless hom
+        and the sum of the counts are powers of q and every middle is
+        [encoding, count >= 1] with an encoding that starts with `head` (the
+        dims or multiplicities every middle of the pair has), decodes to an
+        object of the category and encodes back unchanged (so every entry
+        lies in [0, q)).  For complexes d d = 0 is not checked.  Nothing is
+        classified until the whole record passes.
+        """
+        bk = self.backend
+        if not isinstance(rec, dict) or not isinstance(rec.get("middles"), list):
+            return None
+        if not _is_power(rec.get("hom"), self.q):
+            return None
+        objs = []
+        for item in rec["middles"]:
+            if not (isinstance(item, list) and len(item) == 2):
+                return None
+            enc, n = _json_to_enc(item[0]), item[1]
+            if type(n) is not int or n < 1 or not (isinstance(enc, tuple) and enc[:1] == (head,)):
+                return None
+            try:
+                obj = bk.decode(enc)
+            except (ValueError, TypeError, IndexError, KeyError, OverflowError):
+                return None
+            if bk.encode(obj) != enc:
+                return None
+            objs.append((obj, n))
+        if not _is_power(sum(n for _, n in objs), self.q):  # |Ext^1|
+            return None
+        return rec["hom"], [(bk.classify(obj), n) for obj, n in objs]
 
     # -- products --
 

@@ -40,9 +40,15 @@ from .linalg import Field, Matrix, block2x2, kernel_basis, rank, rref, solve_mat
 
 
 class Quiver:
-    """Finite acyclic quiver with vertices 1..n."""
+    """Finite acyclic quiver with vertices 1..n.
 
-    __slots__ = ("n", "arrows", "_topo")
+    Holds the iso-class memos that every Rep of the quiver shares, memoised
+    by encoding on the quiver, so a representation rebuilt as a new object
+    is neither keyed nor split again: ``_invariants[(p, encoding)]`` for
+    rep_invariant and ``_factors[(p, caps, encoding)]`` for _cached_factors.
+    """
+
+    __slots__ = ("n", "arrows", "_topo", "_invariants", "_factors")
 
     def __init__(self, n: int, arrows):
         if n < 1:
@@ -54,6 +60,8 @@ class Quiver:
         self.n = n
         self.arrows = arrows
         self._topo = self._toposort()
+        self._invariants: dict = {}
+        self._factors: dict = {}
 
     def _toposort(self) -> tuple[int, ...]:
         indeg = {v: 0 for v in range(1, self.n + 1)}
@@ -90,7 +98,7 @@ class Quiver:
 class Rep:
     """Representation: dimension vector plus one matrix per arrow."""
 
-    __slots__ = ("quiver", "field", "dims", "maps", "_enc", "_inv", "_factors")
+    __slots__ = ("quiver", "field", "dims", "maps", "_enc")
 
     def __init__(self, quiver: Quiver, field: Field, dims, maps):
         dims = tuple(int(d) for d in dims)
@@ -110,8 +118,6 @@ class Rep:
         self.dims = dims
         self.maps = maps
         self._enc = None
-        self._inv = None  # rep_invariant(self), once computed
-        self._factors = None  # (caps, decompose(self, caps)), once computed
 
     @classmethod
     def zero(cls, quiver: Quiver, field: Field) -> "Rep":
@@ -400,6 +406,8 @@ def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
     Exhausts End(m) when its cardinality fits the cap (so indecomposability
     is certified: every endomorphism found nilpotent or invertible); beyond
     the cap only sampled combinations are tried and failure to split raises.
+    The two summands of a split recurse through _cached_factors, so a summand
+    that recurs, such as a simple, is split only the first time.
     """
     if m.total_dim() == 0:
         return []
@@ -422,7 +430,7 @@ def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
             split = try_phi(phi)
             if split is not None:
                 a, b = split
-                return decompose(a, caps) + decompose(b, caps)
+                return _cached_factors(a, caps) + _cached_factors(b, caps)
         return [m]
     # sampled search: single basis vectors, then pairwise sums
     candidates = list(basis)
@@ -433,7 +441,7 @@ def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
         split = try_phi(phi)
         if split is not None:
             a, b = split
-            return decompose(a, caps) + decompose(b, caps)
+            return _cached_factors(a, caps) + _cached_factors(b, caps)
     raise EndoSearchCapExceeded(
         f"|End| = {p}^{d} exceeds cap {caps.max_endo_enum} and sampling found no splitting"
     )
@@ -475,9 +483,12 @@ def _combine_rect(a: Rep, b: Rep, basis, coeffs) -> tuple[Matrix, ...]:
 
 
 def rep_invariant(m: Rep) -> tuple:
-    """Iso invariant of m, memoised on m: dims, dim End(m), and the pair
-    (dim Hom(S_v, m), dim Hom(m, S_v)) for every simple S_v."""
-    if m._inv is None:
+    """Iso invariant of m, memoised by encoding on the quiver: dims,
+    dim End(m), and the pair (dim Hom(S_v, m), dim Hom(m, S_v)) for every
+    simple S_v."""
+    key = (m.field.p, m.encoding())
+    inv = m.quiver._invariants.get(key)
+    if inv is None:
         homs = []
         for v in range(1, m.quiver.n + 1):
             if m.dims[v - 1] == 0:
@@ -485,17 +496,18 @@ def rep_invariant(m: Rep) -> tuple:
                 continue
             s = Rep.simple(m.quiver, m.field, v)
             homs.append((hom_dim(s, m), hom_dim(m, s)))
-        m._inv = (m.dims, hom_dim(m, m), tuple(homs))
-    return m._inv
+        inv = m.quiver._invariants[key] = (m.dims, hom_dim(m, m), tuple(homs))
+    return inv
 
 
 def _cached_factors(m: Rep, caps: Caps) -> list[Rep]:
-    """Krull-Schmidt factors of m, memoised on m for the last caps used."""
-    memo = m._factors
-    if memo is None or memo[0] != caps:
-        memo = (caps, decompose(m, caps))
-        m._factors = memo
-    return memo[1]
+    """Krull-Schmidt factors of m, memoised by encoding on the quiver, as a
+    fresh list.  EndoSearchCapExceeded is raised again on every call."""
+    key = (m.field.p, caps, m.encoding())
+    facs = m.quiver._factors.get(key)
+    if facs is None:
+        facs = m.quiver._factors[key] = tuple(decompose(m, caps))
+    return list(facs)
 
 
 def iso_test(a: Rep, b: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -536,12 +548,13 @@ class Registry:
     """Iso-class registry: stable integer ids in first-encounter order.
 
     ``iso`` decides isomorphism.  ``key`` is an iso invariant that buckets
-    the classes (``rep_invariant`` for reps, the degree profile plus the
-    rank of every differential block for complexes); it is computed once
-    per classified object that misses the encoding table and stored with
-    each registered class, so ``iso`` only runs between objects whose keys
-    agree.  Not thread-safe: one registry per thread.  Encodings of later
-    witnesses are remembered so repeat classifications hit the fast path.
+    the classes (``rep_invariant`` for reps, memoised by encoding on the
+    quiver; the degree profile plus the rank of every differential block for
+    complexes); it is computed for each classified object that misses the
+    encoding table and stored with each registered class, so ``iso`` only
+    runs between objects whose keys agree.  Not thread-safe: one registry
+    per thread.  Encodings of later witnesses are remembered so repeat
+    classifications hit the fast path.
     """
 
     def __init__(self, iso, key):

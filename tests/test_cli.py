@@ -410,6 +410,67 @@ def test_cache_reused_between_invocations(tmp_path):
     assert len(cache_file.read_text().splitlines()) == lines_before
 
 
+def _first_rows(rec):
+    """The row list of the first nonempty arrow matrix among the middles."""
+    for enc, _ in rec["middles"]:
+        for rows in enc[1]:
+            if rows and rows[0]:
+                return rows
+    return None
+
+
+def _drop_row(rec):
+    rows = _first_rows(rec)
+    if rows is None:
+        return None
+    rows.pop()  # the matrix no longer has its dims' shape
+    return rec
+
+
+def _entry_q(rec):
+    rows = _first_rows(rec)
+    if rows is None:
+        return None
+    rows[0][0] = A2_ABELIAN["field"]["q"]  # one past the largest entry
+    return rec
+
+
+_CORRUPTIONS = {
+    "wrong-shape": _drop_row,
+    "hom-zero": lambda rec: dict(rec, hom=0),
+    "record-not-object": lambda rec: "x",
+    "entry-out-of-range": _entry_q,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_damaged_cache_records_are_recomputed(tmp_path, capsys, corruption):
+    spec_path = write_spec(tmp_path, A2_ABELIAN)
+    argv = ["verify", "--spec", spec_path, "--dim-cap", "1,1", "associativity", "--out"]
+    assert cli.main(argv + [str(tmp_path / "clean.json")]) == 0
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_ABELIAN).spec_hash}.jsonl"
+    header, *lines = cache_file.read_text().splitlines()
+    damaged = 0
+    for i, line in enumerate(lines):
+        entry = json.loads(line)
+        bad = _CORRUPTIONS[corruption](entry["record"])
+        if bad is not None:
+            lines[i] = json.dumps({"key": entry["key"], "record": bad}, sort_keys=True)
+            damaged += 1
+    assert damaged
+    text = "\n".join([header, *lines]) + "\n"
+    cache_file.write_text(text)
+    assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    capsys.readouterr()
+    bodies = [
+        files.dump_doc(files.report_body(json.loads((tmp_path / n).read_text())))
+        for n in ("clean.json", "warm.json")
+    ]
+    assert bodies[0] == bodies[1]
+    # the damaged lines are skipped, not rewritten or appended to
+    assert cache_file.read_text() == text
+
+
 def test_periodic_verify_suites_all_pass(tmp_path, capsys):
     spec = write_spec(tmp_path, A1_PERIODIC)
     for suite in ("associativity", "lemma-ext", "freeness", "shift-functor"):

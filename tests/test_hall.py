@@ -7,6 +7,7 @@ subrepresentations U of B with U iso C and B/U iso A.  The two routes share
 no code.
 """
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -445,3 +446,67 @@ def test_backend_decode_inverts_encode():
         assert {n: [x.a.shape for x in d] for n, d in back.diffs.items()} == {
             n: [x.a.shape for x in d] for n, d in K.diffs.items()
         }
+
+
+def _damage_first_component(change):
+    """A record corruption that edits the first middle with a nonempty
+    differential block: change(comps, blocks, rows) mutates its encoding,
+    where blocks are that differential's per-vertex blocks and rows the
+    nonempty block's rows."""
+
+    def damage(rec):
+        for (comps, diffs), _ in rec["middles"]:
+            for _, blocks in diffs:
+                for rows in blocks:
+                    if rows and rows[0]:
+                        change(comps, blocks, rows)
+                        return rec
+        return None
+
+    return damage
+
+
+def _set(seq, i, x):
+    seq[i] = x
+
+
+_CX_CORRUPTIONS = {
+    "degree-outside-window": _damage_first_component(lambda c, b, r: c.append([99, [1, 0]])),
+    "mults-wrong-length": _damage_first_component(lambda c, b, r: c[0][1].append(1)),
+    "mults-negative": _damage_first_component(lambda c, b, r: c.insert(0, [-3, [-1, 0]])),
+    "mults-enlarged": _damage_first_component(lambda c, b, r: _set(c[-1][1], 0, 3)),
+    "diff-wrong-shape": _damage_first_component(lambda c, b, r: r.pop()),
+    "diff-missing-vertex": _damage_first_component(lambda c, b, r: b.pop()),
+    "diff-entry-out-of-range": _damage_first_component(lambda c, b, r: _set(r[0], 0, 2)),
+    "count-zero": lambda rec: dict(rec, middles=[[enc, 0] for enc, _ in rec["middles"]]),
+    "no-middles": lambda rec: dict(rec, middles=[]),
+    "hom-not-power-of-q": lambda rec: dict(rec, hom=3 * rec["hom"]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CX_CORRUPTIONS))
+def test_malformed_complex_records_are_recomputed(corruption):
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+
+    def resolved_all(cache):
+        bk = CxBackend(cat)
+        alg = HallAlgebra(bk, cache=cache)
+        ids = [bk.classify(cat.stalk(v, n)) for v in (1, 2) for n in (0, 1)]
+        return [
+            (hom, [(bk.encode(bk.object(i)), n) for i, n in middles])
+            for a, c in itertools.product(ids, repeat=2)
+            for hom, middles in [alg.ext_data(a, c)]
+        ]
+
+    cache = MemoryCache()
+    clean = resolved_all(cache)
+    clean_records = copy.deepcopy(cache.data)
+    damaged = 0
+    for key, rec in cache.data.items():
+        bad = _CX_CORRUPTIONS[corruption](copy.deepcopy(rec))
+        if bad is not None:
+            cache.data[key] = bad
+            damaged += 1
+    assert damaged
+    assert resolved_all(cache) == clean
+    assert cache.data == clean_records  # each damaged record was replaced

@@ -7,6 +7,7 @@ coboundary map), so the structured solvers never certify themselves.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import hallforge.quiver as quiver_mod
 from hallforge.config import Caps
-from hallforge.errors import EnumCapExceeded, ExtEnumCapExceeded
+from hallforge.errors import EndoSearchCapExceeded, EnumCapExceeded, ExtEnumCapExceeded
 from hallforge.linalg import Field, Matrix, rref
 from hallforge.quiver import (
     Quiver,
@@ -445,42 +446,118 @@ def test_invariant_keyed_partition_matches_exhaustive_iso(quiver, field, cap, su
     assert ids == oracle_partition(objs)
 
 
-def test_decompose_once_per_registered_object(monkeypatch):
-    calls = []
+def _rebuilt(quiver, field, enc):
+    """The rep of `quiver` over `field` whose encoding is `enc`."""
+    dims, entries = enc
+    maps = [
+        Matrix(field, np.array(rows, dtype=np.int64).reshape(dims[h - 1], dims[t - 1]))
+        for (t, h), rows in zip(quiver.arrows, entries)
+    ]
+    return Rep(quiver, field, dims, maps)
+
+
+def _fresh(m):
+    """m rebuilt on a new Quiver, so it shares no memo with m."""
+    return _rebuilt(Quiver(m.quiver.n, m.quiver.arrows), m.field, m.encoding())
+
+
+def _count_decompose(monkeypatch):
+    """Patch decompose to count its calls per (p, caps, encoding)."""
+    calls = Counter()
     real = quiver_mod.decompose
 
     def counting(m, caps=Caps()):
-        calls.append(m)
+        calls[(m.field.p, caps, m.encoding())] += 1
         return real(m, caps)
 
     monkeypatch.setattr(quiver_mod, "decompose", counting)
-    reg = enumerate_reps(A2, F3, (2, 2), registry=RecordingRegistry())
-    registered = [reg.object(i) for i in range(len(reg))]
-    per_obj = [sum(c is r for c in calls) for r in registered]
-    assert max(per_obj) == 1  # decomposed at most once, and some were
-    for r in registered:
-        if r._factors is not None:
-            caps, facs = r._factors
-            assert [f.encoding() for f in facs] == [f.encoding() for f in real(r, caps)]
+    return calls
+
+
+def _encodings(reps):
+    return [r.encoding() for r in reps]
+
+
+def test_decompose_once_per_registered_object(monkeypatch):
+    q = Quiver(2, [(1, 2)])
+    calls = _count_decompose(monkeypatch)
+    reg = enumerate_reps(q, F3, (2, 2), registry=RecordingRegistry())
+    grid = [reg.object(i) for i in range(len(reg))]
+    # direct sums leave the enumerated grid, so classifying them reaches
+    # the invariants and the factors; both orders give new encodings of one
+    # class, and their summands recur across parents
+    for x, y in itertools.product(grid, repeat=2):
+        if x.total_dim() + y.total_dim() <= 3:
+            reg.classify(direct_sum(x, y))
+    assert calls and max(calls.values()) == 1
+    assert set(q._factors) == set(calls)
+    for (p, caps, enc), facs in q._factors.items():
+        fresh = _rebuilt(Quiver(2, [(1, 2)]), Field(p), enc)
+        assert _encodings(facs) == _encodings(decompose(fresh, caps))
+    assert len({o.encoding() for o, _ in reg.seen}) > len(grid)
+    for (p, enc), inv in q._invariants.items():
+        assert inv == rep_invariant(_rebuilt(Quiver(2, [(1, 2)]), Field(p), enc))
 
 
 def test_memoised_factors_recomputed_for_other_caps(monkeypatch):
-    S1, S2 = Rep.simple(A2, F2, 1), Rep.simple(A2, F2, 2)
-    a = direct_sum(direct_sum(S1, S2), proj_indec(A2, F2, 1))
-    b = direct_sum(proj_indec(A2, F2, 1), direct_sum(S1, S2))
+    q = Quiver(2, [(1, 2)])
+    S1, S2, P1 = Rep.simple(q, F2, 1), Rep.simple(q, F2, 2), proj_indec(q, F2, 1)
+    a = direct_sum(direct_sum(S1, S2), P1)
+    b = direct_sum(P1, direct_sum(S1, S2))
     assert a.encoding() != b.encoding()
-    calls = []
-    real = quiver_mod.decompose
-    monkeypatch.setattr(
-        quiver_mod, "decompose", lambda m, caps=Caps(): calls.append(m) or real(m, caps)
-    )
+    calls = _count_decompose(monkeypatch)
+    default, other = Caps(), Caps(max_endo_enum=2**15)
     assert iso_test(a, b)
     assert iso_test(a, b)
-    assert sum(c is a for c in calls) == 1
-    other = Caps(max_endo_enum=2**15)
+    # a new object with a's encoding reads the same memo entry
+    assert iso_test(_rebuilt(q, F2, a.encoding()), b)
+    assert calls[(2, default, a.encoding())] == 1
     assert iso_test(a, b, other)
-    assert sum(c is a for c in calls) == 2
-    assert a._factors[0] == other
+    assert calls[(2, other, a.encoding())] == 1
+    key = (2, other, a.encoding())
+    memo = _encodings(q._factors[key])
+    assert memo == _encodings(decompose(_fresh(a), other))
+    # each call returns a list of its own
+    facs = quiver_mod._cached_factors(a, other)
+    facs.clear()
+    facs.append(a)
+    assert _encodings(q._factors[key]) == memo
+    assert _encodings(quiver_mod._cached_factors(a, other)) == memo
+    assert len(memo) == 3
+
+
+def test_capped_factor_search_is_not_memoised(monkeypatch):
+    kr = Quiver(2, [(1, 2), (1, 2)])
+    # regular Kronecker module of length 2: indecomposable, End = k[x]/x^2
+    r = Rep(kr, F2, (2, 2), [Matrix.identity(F2, 2), Matrix(F2, [[0, 1], [0, 0]])])
+    assert hom_dim(r, r) == 2
+    assert _encodings(decompose(_fresh(r))) == [r.encoding()]
+    calls = _count_decompose(monkeypatch)
+    tiny = Caps(max_endo_enum=1)
+    for _ in range(2):
+        with pytest.raises(EndoSearchCapExceeded):
+            quiver_mod._cached_factors(r, tiny)
+    assert calls[(2, tiny, r.encoding())] == 2
+    assert (2, tiny, r.encoding()) not in kr._factors
+
+
+def test_one_quiver_keeps_fields_apart():
+    q = Quiver(2, [(1, 2)])
+    # det 2: rank 2 over F2, invertible over F3
+    arrow = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    m2 = Rep(q, F2, (3, 3), [Matrix(F2, arrow)])
+    m3 = Rep(q, F3, (3, 3), [Matrix(F3, arrow)])
+    assert m2.encoding() == m3.encoding()
+    assert rep_invariant(m2) != rep_invariant(m3)
+    assert rep_invariant(m2) == rep_invariant(_fresh(m2))
+    assert rep_invariant(m3) == rep_invariant(_fresh(m3))
+    # P1 + P1 + S1 + S2 over F2, P1^3 over F3
+    dims2 = sorted(f.dims for f in quiver_mod._cached_factors(m2, Caps()))
+    dims3 = [f.dims for f in quiver_mod._cached_factors(m3, Caps())]
+    assert dims2 == [(0, 1), (1, 0), (1, 1), (1, 1)]
+    assert dims3 == [(1, 1)] * 3
+    assert {k[0] for k in q._invariants} == {2, 3}
+    assert {k[0] for k in q._factors} == {2, 3}
 
 
 # ---- one-elimination Ext^1 against the two-elimination reference ----
@@ -563,3 +640,38 @@ def test_ext1_space_matches_two_elimination_reference(grid):
         assert ext.hom_dim == ext1_space(a, c, enumerate_reps=False).hom_dim == hom_dim(a, c)
         nonsplit += dim > 0
     assert nonsplit
+
+
+# ---- memoised classification against unshared objects ----
+
+
+def _classify_middles(grid, rebuild):
+    """Registry ids and iso_test answers for every middle of every pair of
+    `grid`, classified as built (sharing the quiver's memos) or, with
+    `rebuild`, each rebuilt on a quiver of its own."""
+    answers = []
+
+    def iso(x, y):
+        answers.append(iso_test(x, y))
+        return answers[-1]
+
+    reg = Registry(iso, rep_invariant)
+    ids = []
+    for a, c in itertools.product(grid, repeat=2):
+        for f in ext1_space(a, c).reps:
+            b = middle_term(a, c, f)
+            ids.append(reg.classify(_fresh(b) if rebuild else b))
+    return ids, answers
+
+
+@pytest.mark.parametrize("grid", ["a3-inward-q3-cap121", "kronecker-q2-cap21", "d4-q2-cap1111"])
+def test_shared_memos_classify_like_unshared_objects(grid):
+    quiver, field, cap = _EXT_GRIDS[grid]
+    shared = Quiver(quiver.n, quiver.arrows)
+    objs = enumerate_reps(shared, field, cap).objs
+    ids, answers = _classify_middles(objs, rebuild=False)
+    assert shared._factors  # the shared run filled the quiver's memos
+    assert (ids, answers) == _classify_middles(objs, rebuild=True)
+    # iso searches ran and found isomorphisms (on Dynkin grids rep_invariant
+    # already separates the classes, so no search there answers False)
+    assert True in answers
