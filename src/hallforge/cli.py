@@ -75,10 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write_out(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise SpecError(f"cannot write --out {path}: {e.strerror}")
+
+
 def _emit(doc: dict, out) -> None:
     text = files.dump_doc(doc)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_out(out, text)
     else:
         sys.stdout.write(text)
 
@@ -131,7 +138,7 @@ def cmd_verify(args) -> int:
     text = files.dump_doc(report)
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     return 0 if report["status"] == "pass" else 1
 
 

@@ -57,6 +57,7 @@ from .quiver import (
     _sub_rep,
     _unvec,
     direct_sum,
+    euler_exponent,
     find_iso,
     hom_basis,
     proj_indec,
@@ -780,27 +781,28 @@ def extp_card(x: Complex, y: Complex, pdeg: int) -> int:
     return stable_hom_card(shift(x, -pdeg), y)
 
 
-def euler_exponent_cx(x: Complex, y: Complex) -> int:
-    """log_q of the Euler form: alternating sum of stable hom dims over
-    every shift where maps can exist, negative ones included.
+def _proj_hom_dim(cat: ComplexCategory, src, tgt) -> int:
+    """dim Hom(P^src, P^tgt) for multiplicity vectors src and tgt, extended
+    bilinearly to integer vectors: as Ext^1(P, -) = 0, the quiver's Euler
+    form of the dimension vectors."""
+    def dims(mults):
+        return [sum(m * p.dims[v] for m, p in zip(mults, cat._projs)) for v in range(cat.quiver.n)]
 
-    Truncating at shift 0 would make the value depend on the differential
-    rather than on degreewise dims alone, which breaks biadditivity on
-    extension middles.  Only defined on bounded categories; the periodic
-    sum does not terminate.
-    """
+    return euler_exponent(cat.quiver, dims(src), dims(tgt))
+
+
+def euler_exponent_cx(x: Complex, y: Complex) -> int:
+    """log_q of the Euler form sum_p (-1)^p dim H^p Hom(x, y): the Hom complex
+    is finite, so this is sum_{m,n} (-1)^(n-m) dim Hom(x_m, y_n).  Bounded
+    categories only; the periodic sum does not terminate."""
     cat = x.cat
     if cat.kind != "bounded":
         raise EulerUndefined("Euler form undefined for periodic complexes")
-    if not x.comps or not y.comps:
-        return 0
-    pmin = min(min(y.support) - max(x.support), 0)
-    pmax = max(max(y.support) - min(x.support), 0)
-    e = 0
-    for pdeg in range(pmin, pmax + 1):
-        d = stable_hom_dim(shift(x, -pdeg), y)
-        e += d if pdeg % 2 == 0 else -d
-    return e
+    return sum(
+        (-1 if (n - m) % 2 else 1) * _proj_hom_dim(cat, a, b)
+        for m, a in x.comps.items()
+        for n, b in y.comps.items()
+    )
 
 
 # ---- contractibility ----
@@ -1102,23 +1104,11 @@ def stable_iso_test(x: Complex, y: Complex, caps: Caps = DEFAULT_CAPS) -> bool:
 # ---- enumeration ----
 
 
-def _mult_options(cat: ComplexCategory, max_degree_dim: int | None, max_total_dim: int | None):
-    """Multiplicity vectors allowed at a single degree, graded-lex order."""
-    bound = max_degree_dim if max_degree_dim is not None else max_total_dim
-    per_gen = []
-    for i in range(1, cat.quiver.n + 1):
-        di = cat.proj(i).total_dim()
-        per_gen.append(range(bound // di + 1))
-    opts = []
-    for mults in itertools.product(*per_gen):
-        dim = cat.mult_dim(mults)
-        if max_degree_dim is not None and dim > max_degree_dim:
-            continue
-        if max_total_dim is not None and dim > max_total_dim:
-            continue
-        opts.append(tuple(mults))
-    opts.sort(key=lambda m: (cat.mult_dim(m), m))
-    return opts
+def _mult_options(cat: ComplexCategory, bound: int) -> list:
+    """Multiplicity vectors of dimension at most bound, graded-lex order."""
+    per_gen = [range(bound // p.total_dim() + 1) for p in cat._projs]
+    opts = [m for m in itertools.product(*per_gen) if cat.mult_dim(m) <= bound]
+    return sorted(opts, key=lambda m: (cat.mult_dim(m), m))
 
 
 def enumerate_complexes(
@@ -1132,22 +1122,28 @@ def enumerate_complexes(
 
     Profiles run over the user window (bounded) or all residues (periodic),
     graded-lex by total dimension; differentials enumerate lexicographically
-    over per-pair hom bases and are kept when d d = 0.
+    over per-pair hom bases and are kept when d d = 0.  More than
+    caps.max_enum profiles, or differential tuples at one profile, raise
+    EnumCapExceeded.
     """
     if max_degree_dim is None and max_total_dim is None:
         raise SpecError("need a per-degree or total dimension cap")
     if registry is None:
         registry = cx_registry(cat, caps)
     degs = cat.degrees()
-    opts = _mult_options(cat, max_degree_dim, max_total_dim)
-    field = cat.field
-    p = field.p
-    profiles = []
-    for combo in itertools.product(opts, repeat=len(degs)):
-        total = sum(cat.mult_dim(m) for m in combo)
-        if max_total_dim is not None and total > max_total_dim:
-            continue
-        profiles.append((total, combo))
+    bound = max_degree_dim if max_degree_dim is not None else max_total_dim
+    sized = [(m, cat.mult_dim(m)) for m in _mult_options(cat, bound)]
+    room = max_total_dim if max_total_dim is not None else len(degs) * bound
+    p = cat.field.p
+    # count the degree profiles by total before building any of them
+    counts = [1] + [0] * room
+    for _ in degs:
+        counts = [sum(counts[t - d] for _, d in sized if d <= t) for t in range(room + 1)]
+    if sum(counts) > caps.max_enum:
+        raise EnumCapExceeded(f"{sum(counts)} degree profiles exceed cap {caps.max_enum}")
+    profiles = [(0, ())]
+    for _ in degs:
+        profiles = [(t + d, c + (m,)) for t, c in profiles for m, d in sized if t + d <= room]
     profiles.sort(key=lambda t: (t[0], tuple(itertools.chain.from_iterable(t[1]))))
     for _, combo in profiles:
         comps = {n: m for n, m in zip(degs, combo) if any(m)}

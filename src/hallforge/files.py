@@ -97,8 +97,10 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SpecError(f"no such file: {path}")
+    except OSError as e:
+        raise SpecError(f"{path}: cannot read ({e.strerror})")
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}: not valid JSON ({e})")
 
@@ -302,13 +304,17 @@ class FileCache:
     The first line is a header pinning the format version and spec hash; a
     file whose header does not match is overwritten rather than trusted.
     With read=False nothing on disk is consulted, so every pair is
-    recomputed, but fresh records are still appended for later runs.
+    recomputed, but records for keys not yet on disk are still appended for
+    later runs.  With read=True a put for a key read from disk replaces a
+    record the caller rejected: it is appended once, and on load the last
+    line of a key wins.
     """
 
     def __init__(self, path, spec_hash: str, read: bool = True):
         self.path = Path(path)
         self.spec_hash = spec_hash
         self.mem: dict[str, dict] = {}
+        # keys not to append: written by this run, or on disk when read=False
         self.persisted: set[str] = set()
         self.hits = 0
         self.misses = 0
@@ -342,9 +348,10 @@ class FileCache:
             key = rec.get("key")
             if not isinstance(key, str) or "record" not in rec:
                 continue
-            self.persisted.add(key)
             if read:
                 self.mem[key] = rec["record"]
+            else:
+                self.persisted.add(key)
 
     def get(self, key: str):
         rec = self.mem.get(key)
@@ -666,10 +673,10 @@ def parse_dim_cap(spec: CategorySpec, text) -> dict:
         tok = tok.strip()
         if tok.startswith("total:"):
             body = tok[len("total:"):]
-            if not body.isdigit():
+            if not (body.isascii() and body.isdigit()):  # int() rejects "²"
                 raise SpecError(f"bad dim-cap token {tok!r}")
             total = int(body)
-        elif tok.isdigit():
+        elif tok.isascii() and tok.isdigit():
             per.append(int(tok))
         else:
             raise SpecError(f"bad dim-cap token {tok!r}")

@@ -12,6 +12,20 @@ stable classes with negative-ext factors, and verification routines for
 freeness and for the tensor-factorization comparison.
 
 Elements are dicts mapping (gamma, stable_id) -> Fraction.
+
+Pairings are read off degrees, with dim Hom(x_m, y_n) between projectives
+from the quiver's Euler form (Ext^1(P, -) = 0).  The Hom complex
+Hom^p(x, y) = prod_m Hom(x_m, y_{m+p}) is finite, so its Euler
+characteristic is that of its cohomology H^p.  Hence on a bounded window:
+the relative Euler pairing dim Hom - dim H^0 + sum_{i>=1} (-1)^(i+1) dim H^-i
+is sum_{m>n} (-1)^(m-n+1) dim Hom(x_m, y_n), since dim Hom - dim H^0 =
+dim B^0 and Hom^-N -> ... -> Hom^-1 -> B^0 has cohomology H^-i (i >= 1) only;
+a basis key (gamma, m) pairs through the class of K_gamma ⊕ m, gamma of any
+sign.  The Euler form sum_p (-1)^p dim H^p is sum_{m,n} (-1)^(n-m)
+dim Hom(x_m, y_n) (`complexes.euler_exponent_cx`).  The cones are
+projective-injective: a chain map K(i, n) -> x is any map P_i -> x_n, and
+x -> K(i, n) is any map x_{n+1} -> P_i.  `_dh_pair` keeps the literal stable
+Homs, so the `toen` suite compares the two routes.
 """
 
 from fractions import Fraction
@@ -48,11 +62,22 @@ class QuantumTorus:
         self.keys = list(self.gens)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.rank = len(self.keys)
+        # per cone K(i, n): P_i's multiplicity vector, n and n + 1
+        self._cones = []
+        for k in self.keys:
+            _, n = cx._parse_generator_key(k)
+            self._cones.append((self.gens[k].mults(n), n, cat.next_deg(n)))
         # pairing_exp[g][h] = log_q |Hom(K_g, K_h)|
-        self.pairing_exp = [
-            [cx.hom_dim_cx(self.gens[g], self.gens[h]) for h in self.keys]
-            for g in self.keys
-        ]
+        cols = [self.hom_from(self.gens[h]) for h in self.keys]
+        self.pairing_exp = [[col[g] for col in cols] for g in range(self.rank)]
+
+    def hom_from(self, x: Complex) -> list:
+        """log_q |Hom(K_g, x)| per generator."""
+        return [cx._proj_hom_dim(self.cat, e, x.mults(n)) for e, n, _ in self._cones]
+
+    def hom_to(self, x: Complex) -> list:
+        """log_q |Hom(x, K_g)| per generator."""
+        return [cx._proj_hom_dim(self.cat, x.mults(n1), e) for e, _, n1 in self._cones]
 
     def zero(self) -> tuple:
         return (0,) * self.rank
@@ -74,15 +99,10 @@ class QuantumTorus:
         return tuple(-x for x in a)
 
     def pairing_exponent(self, gamma: tuple, delta: tuple) -> int:
-        e = 0
-        for g, cg in enumerate(gamma):
-            if not cg:
-                continue
-            row = self.pairing_exp[g]
-            for h, ch in enumerate(delta):
-                if ch:
-                    e += cg * ch * row[h]
-        return e
+        return sum(
+            cg * ch * self.pairing_exp[g][h]
+            for g, cg in enumerate(gamma) if cg for h, ch in enumerate(delta) if ch
+        )
 
     def pairing(self, gamma: tuple, delta: tuple) -> Fraction:
         return _q_power(self.q, self.pairing_exponent(gamma, delta))
@@ -99,33 +119,12 @@ class SDH:
         self.strict = HallAlgebra(CxBackend(cat, caps), cache=cache)
         self.stable = cx.stable_registry(cat, caps)
         self.zero_class = self.stable.classify(cat.zero_complex())
-        self._hom_from_gen: dict = {}
-        self._hom_to_gen: dict = {}
-        self._rel_ids: dict = {}
 
     # -- hom bookkeeping --
 
-    def _gen_hom_dims(self, m_id: int) -> list:
-        """log_q |Hom(K_g, m)| per generator."""
-        dims = self._hom_from_gen.get(m_id)
-        if dims is None:
-            m = self.stable.object(m_id)
-            dims = [cx.hom_dim_cx(self.torus.gens[k], m) for k in self.torus.keys]
-            self._hom_from_gen[m_id] = dims
-        return dims
-
-    def _gen_hom_dims_rev(self, m_id: int) -> list:
-        """log_q |Hom(m, K_g)| per generator."""
-        dims = self._hom_to_gen.get(m_id)
-        if dims is None:
-            m = self.stable.object(m_id)
-            dims = [cx.hom_dim_cx(m, self.torus.gens[k]) for k in self.torus.keys]
-            self._hom_to_gen[m_id] = dims
-        return dims
-
     def gen_hom(self, gamma: tuple, m_id: int) -> Fraction:
         """|Hom(K_gamma, m)| extended to integer exponent vectors."""
-        dims = self._gen_hom_dims(m_id)
+        dims = self.torus.hom_from(self.stable.object(m_id))
         return _q_power(self.q, sum(g * d for g, d in zip(gamma, dims)))
 
     def commutation(self, delta: tuple, m_id: int) -> Fraction:
@@ -133,8 +132,9 @@ class SDH:
 
         Equals the ratio |Hom(K_delta, m)| / |Hom(m, K_delta)|.
         """
-        fwd = self._gen_hom_dims(m_id)
-        rev = self._gen_hom_dims_rev(m_id)
+        m = self.stable.object(m_id)
+        fwd = self.torus.hom_from(m)
+        rev = self.torus.hom_to(m)
         e = sum(d * (f - r) for d, f, r in zip(delta, fwd, rev))
         return _q_power(self.q, e)
 
@@ -241,17 +241,18 @@ class SDH:
     # -- relative Euler pairing and the twisted product --
 
     def rel_euler_exponent(self, a: Complex, b: Complex) -> int:
-        """log_q of the relative Euler pairing of two objects.
+        """log_q of the relative Euler pairing of two objects: |Hom_F| / |stable
+        Hom| times the alternating product of negative stable exts."""
+        return self._rel_form(a.comps, b.comps)
 
-        |Hom_F| / |stable Hom| times the alternating product of negative
-        stable ext cardinalities, truncated past the window width where
-        shifted supports are disjoint.
-        """
+    def _rel_form(self, xc: dict, yc: dict) -> int:
+        """sum_{m>n} (-1)^(m-n+1) dim Hom(x_m, y_n) on degreewise classes."""
         if self.cat.kind == "periodic":
-            raise RelEulerUndefined(
-                "relative Euler pairing needs a bounded window"
-            )
-        return cx.hom_dim_cx(a, b) - cx.stable_hom_dim(a, b) + self._neg_ext_exponent(a, b)
+            raise RelEulerUndefined("relative Euler pairing needs a bounded window")
+        return sum(
+            (1 if (m - n) % 2 else -1) * cx._proj_hom_dim(self.cat, a, b)
+            for m, a in xc.items() for n, b in yc.items() if m > n
+        )
 
     def _neg_ext_exponent(self, a: Complex, c: Complex) -> int:
         """sum_{i=1}^{w+1} (-1)^(i+1) dim stable Hom(a, c[-i]), w the window
@@ -264,27 +265,14 @@ class SDH:
     def rel_euler(self, a: Complex, b: Complex) -> Fraction:
         return _q_power(self.q, self.rel_euler_exponent(a, b))
 
-    def _rel_exponent_ids(self, m_id: int, s_id: int) -> int:
-        key = (m_id, s_id)
-        e = self._rel_ids.get(key)
-        if e is None:
-            e = self.rel_euler_exponent(
-                self.stable.object(m_id), self.stable.object(s_id)
-            )
-            self._rel_ids[key] = e
-        return e
-
     def _rel_exponent_keys(self, kx: tuple, ky: tuple) -> int:
         """Biadditive extension of the relative Euler exponent to keys."""
-        gamma, m_id = kx
-        delta, s_id = ky
-        e = self._rel_exponent_ids(m_id, s_id)
-        fwd_s = self._gen_hom_dims(s_id)
-        rev_m = self._gen_hom_dims_rev(m_id)
-        e += sum(g * d for g, d in zip(gamma, fwd_s))
-        e += sum(d * r for d, r in zip(delta, rev_m))
-        e += self.torus.pairing_exponent(gamma, delta)
-        return e
+        return self._rel_form(self._key_class(*kx), self._key_class(*ky))
+
+    def _key_class(self, gamma: tuple, m_id: int) -> dict:
+        """Degreewise class of K_gamma ⊕ m, gamma of any sign."""
+        gens = [(self.torus.gens[k], g) for k, g in zip(self.torus.keys, gamma)]
+        return _class_sum([(self.stable.object(m_id), 1)] + gens)
 
     def tw_product(self, x: dict, y: dict) -> dict:
         """Product twisted by the relative Euler pairing.
@@ -384,28 +372,15 @@ class SDH:
         """
         if self.cat.kind == "periodic":
             raise DerivedUndefined("class-group solve needs a bounded window")
-        nverts = self.cat.quiver.n
-        target: dict = {}
-
-        def accumulate(x: Complex, s: int):
-            for n, mults in x.comps.items():
-                for i in range(nverts):
-                    if mults[i]:
-                        key = (n, i)
-                        target[key] = target.get(key, 0) + s * mults[i]
-
-        accumulate(self.stable.object(a_id), 1)
-        accumulate(self.stable.object(c_id), 1)
-        accumulate(self.stable.object(u_id), -1)
+        obj = self.stable.object
+        target = _class_sum([(obj(a_id), 1), (obj(c_id), 1), (obj(u_id), -1)])
         kappa = {}
         for n in range(self.cat.lo, self.cat.hi):
-            for i in range(1, nverts + 1):
-                g = target.pop((n, i - 1), 0)
+            for i, g in enumerate(target.pop(n, ()), 1):
                 if g:
                     kappa[cx.generator_key(i, n)] = g
-                    key_up = (n + 1, i - 1)
-                    target[key_up] = target.get(key_up, 0) - g
-        if any(v for v in target.values()):
+                    target.setdefault(n + 1, [0] * self.cat.quiver.n)[i - 1] -= g
+        if any(any(v) for v in target.values()):
             return None
         return self.torus.vector(kappa)
 
@@ -608,6 +583,16 @@ class SDH:
                     )
         crit["iv"] = {"ok": not failures_iv, "failures": failures_iv}
         return {"ok": all(c["ok"] for c in crit.values()), "criteria": crit}
+
+
+def _class_sum(parts) -> dict:
+    """sum of c * (degreewise class of x) over (x, c) in parts, as
+    {degree: list of projective multiplicities}."""
+    out: dict = {}
+    for x, c in parts:
+        for n, mults in x.comps.items():
+            out[n] = [a + c * b for a, b in zip(out.get(n, [0] * len(mults)), mults)]
+    return out
 
 
 def _prune(d: dict) -> dict:

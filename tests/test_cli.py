@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hallforge.cli as cli
-from hallforge import files
+from hallforge import files, hall
 from hallforge.files import AlgebraHandle, CategorySpec, write_element
 
 
@@ -283,6 +283,49 @@ def test_exit_2_on_non_integer_arrow_endpoint(tmp_path, capsys, end):
     assert "SPEC_INVALID" in err and "quiver.arrows endpoint" in err
 
 
+@pytest.mark.parametrize("cap", ["\u00b2", "total:\u00b2"], ids=["per-degree", "total"])
+def test_exit_2_on_superscript_dim_cap(tmp_path, capsys, cap):
+    # str.isdigit accepts superscript digits, which int() rejects
+    rc = cli.main(["table", "--spec", write_spec(tmp_path, A2_BOUNDED), "--dim-cap", cap])
+    assert rc == 2
+    assert "error[SPEC_INVALID]: bad dim-cap token" in capsys.readouterr().err
+
+
+def test_exit_2_on_unreadable_spec_or_element(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(A2_ABELIAN).encode()[:-1] + b', "n": "\xe9"}')
+    spec = write_spec(tmp_path, A2_ABELIAN)
+    x, _ = simple_elements(tmp_path)
+    for argv in (
+        ["table", "--spec", str(latin1), "--dim-cap", "1"],
+        ["table", "--spec", str(tmp_path), "--dim-cap", "1"],
+        ["product", "--spec", spec, x, str(latin1)],
+        ["product", "--spec", spec, x, str(tmp_path)],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert "error[SPEC_INVALID]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_exit_2_on_out_into_missing_directory(tmp_path, capsys, command):
+    argv = [command, "--spec", write_spec(tmp_path, A2_ABELIAN), "--dim-cap", "1"]
+    argv += ["associativity"] if command == "verify" else []
+    rc = cli.main(argv + ["--out", str(tmp_path / "missing" / "out.json")])
+    assert rc == 2
+    assert "error[SPEC_INVALID]: cannot write --out" in capsys.readouterr().err
+
+
+def test_exit_3_on_long_period_instead_of_hanging(tmp_path, capsys):
+    # 2^30 degree profiles at per-degree cap 1; the total cap keeps 31 of them
+    spec = write_spec(tmp_path, dict(A2_PERIODIC, period=30))
+    out = tmp_path / "t.json"
+    rc = cli.main(["table", "--spec", spec, "--dim-cap", "total:1", "--out", str(out)])
+    assert rc == 0
+    assert len(json.loads(out.read_text())["classes"]) == 31
+    assert cli.main(["table", "--spec", spec, "--dim-cap", "1"]) == 3
+    assert "error[ENUM_CAP_EXCEEDED]" in capsys.readouterr().err
+
+
 def test_exit_2_on_sdh_over_abelian(tmp_path, capsys):
     spec = write_spec(tmp_path, A2_ABELIAN)
     x, y = simple_elements(tmp_path)
@@ -444,31 +487,41 @@ _CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
-def test_damaged_cache_records_are_recomputed(tmp_path, capsys, corruption):
+def test_damaged_cache_records_are_recomputed(tmp_path, capsys, monkeypatch, corruption):
     spec_path = write_spec(tmp_path, A2_ABELIAN)
     argv = ["verify", "--spec", spec_path, "--dim-cap", "1,1", "associativity", "--out"]
     assert cli.main(argv + [str(tmp_path / "clean.json")]) == 0
     cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_ABELIAN).spec_hash}.jsonl"
     header, *lines = cache_file.read_text().splitlines()
-    damaged = 0
+    replaced = []
     for i, line in enumerate(lines):
         entry = json.loads(line)
         bad = _CORRUPTIONS[corruption](entry["record"])
         if bad is not None:
+            replaced.append(line)
             lines[i] = json.dumps({"key": entry["key"], "record": bad}, sort_keys=True)
-            damaged += 1
-    assert damaged
+    assert replaced
     text = "\n".join([header, *lines]) + "\n"
     cache_file.write_text(text)
     assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    # the damaged lines stay; one fresh line per damaged record follows them
+    # and wins on the next load
+    written = cache_file.read_text()
+    assert written.startswith(text)
+    assert sorted(written[len(text):].splitlines()) == sorted(replaced)
+    # so a second warm run recomputes nothing and appends nothing
+    def recompute(*args):
+        raise AssertionError("pair recomputed")
+
+    monkeypatch.setattr(hall.RepBackend, "raw_ext_data", recompute)
+    assert cli.main(argv + [str(tmp_path / "warm2.json")]) == 0
+    assert cache_file.read_text() == written
     capsys.readouterr()
     bodies = [
         files.dump_doc(files.report_body(json.loads((tmp_path / n).read_text())))
-        for n in ("clean.json", "warm.json")
+        for n in ("clean.json", "warm.json", "warm2.json")
     ]
-    assert bodies[0] == bodies[1]
-    # the damaged lines are skipped, not rewritten or appended to
-    assert cache_file.read_text() == text
+    assert bodies[0] == bodies[1] == bodies[2]
 
 
 def test_periodic_verify_suites_all_pass(tmp_path, capsys):
@@ -496,6 +549,8 @@ A2_PERIODIC = {
     "period": 2,
 }
 
+A3_LINEAR_BOUNDED = dict(A2_BOUNDED, quiver={"vertices": 3, "arrows": [[1, 2], [2, 3]]})
+
 # sha256 of the A2 q=2 window [0,1] cap-1 tables (dh and sdh recorded
 # before the projective-sum memos of ComplexCategory existed, hall and
 # twisted before the coefficient combiners and decoders were merged), and of
@@ -509,6 +564,26 @@ BOUNDED_TABLE_SHA256 = {
     # recorded before stable Hom and Ext^1 shared one row reduction, as were
     # the Kronecker and A3 tables below
     "sdh-tw": "39b71c65e02ff2e1a82a1f1a6ac288750ac76d6248a25451a8d537d63e3dddd4",
+}
+# larger grids, recorded while the Euler forms and the torus pairings were
+# still computed by solving Hom complexes: (spec, dim cap, algebra, sha256)
+WIDE_TABLE_SHA256 = {
+    "a2-sdh-tw-total3": (
+        A2_BOUNDED, "2,total:3", "sdh-tw",
+        "23730a9cf2ea7aad5ecd05fbdba610b14c75704bf1c47b1b04e325ee8f6cf88b",
+    ),
+    "a2-twisted-total3": (
+        A2_BOUNDED, "2,total:3", "twisted",
+        "a7503c8a0c01b426d151ab7495781a19e8867e5f774368ef9b73fe975284b6ec",
+    ),
+    "a3-sdh-tw-total3": (
+        A3_LINEAR_BOUNDED, "total:3", "sdh-tw",
+        "1b7dd59c2ca24783f477691aecb4e561dee1677b2bee2928b18d100d876211ed",
+    ),
+    "periodic-2-sdh-total2": (
+        A2_PERIODIC, "total:2", "sdh",
+        "e0078223b07b7cc544b6f1b0307ebc1144aa370b86247ce6517454745642acfa",
+    ),
 }
 ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b2298098d6501abe6ada"
 # sha256 of the A2 q=2 period-2 cap-1 sdh table, recorded before cones were
@@ -537,6 +612,10 @@ REPORT_BODY_SHA256 = {
     "rel-euler": "4f20c752e79924529d9d0cff49e97cc59f39fde9903a3d9e5ddc2afa30365d45",
     "toen": "b50736b7a4c926dc813458a020ffb1dc5a6846e7d9955d16bc2ef583ddfe3bfe",
     "freeness": "da2b75f1ba06ae4d2db83ce20453db365cb7ba10ec48c1f347fa38411b02203e",
+    # on A2 q=2 window [0,1] at cap 2,total:3, recorded while the relative
+    # Euler pairing was still computed by solving Hom complexes
+    "rel-euler-total3": "f00ce841a55c2b898b46c05f6bb24b84935d66a6ceb609acb4eea58bb87ed08b",
+    "toen-total3": "45029f612d00e7a9feaaa07ee83f7dbe99d8977efa2e72cf0cbbf3d7f7f4ad2d",
 }
 
 
@@ -546,9 +625,11 @@ REPORT_BODY_SHA256 = {
     + [(A2_ABELIAN_Q3, "1,1", "twisted", ABELIAN_Q3_TWISTED_SHA256)]
     + [(A2_PERIODIC, "1", "sdh", PERIODIC_SDH_SHA256)]
     + [(KRONECKER_ABELIAN, "1", "hall", KRONECKER_HALL_SHA256)]
-    + [(A3_INWARD_ABELIAN_Q3, "1", "twisted", A3_INWARD_Q3_TWISTED_SHA256)],
+    + [(A3_INWARD_ABELIAN_Q3, "1", "twisted", A3_INWARD_Q3_TWISTED_SHA256)]
+    + list(WIDE_TABLE_SHA256.values()),
     ids=list(BOUNDED_TABLE_SHA256)
-    + ["abelian-q3-twisted", "periodic-2-sdh", "kronecker-hall", "a3-inward-q3-twisted"],
+    + ["abelian-q3-twisted", "periodic-2-sdh", "kronecker-hall", "a3-inward-q3-twisted"]
+    + list(WIDE_TABLE_SHA256),
 )
 def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, digest):
     spec = write_spec(tmp_path, doc)
@@ -565,26 +646,28 @@ def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, di
     assert digests == [digest] * 3
 
 
-@pytest.mark.parametrize(
-    "suite, doc, cap",
-    [
-        ("associativity", A2_ABELIAN, "1,1"),
-        ("lemma-ext", A1_PERIODIC, "1"),
-        ("shift-functor", A1_PERIODIC, "1"),
-        ("rel-euler", A2_BOUNDED, "1"),
-        ("toen", A2_BOUNDED, "1"),
-        ("freeness", A2_BOUNDED, "1"),
-    ],
-    ids=["associativity", "lemma-ext", "shift-functor", "rel-euler", "toen", "freeness"],
-)
-def test_verify_report_body_bytes(tmp_path, capsys, suite, doc, cap):
+_REPORT_CASES = {
+    "associativity": ("associativity", A2_ABELIAN, "1,1"),
+    "lemma-ext": ("lemma-ext", A1_PERIODIC, "1"),
+    "shift-functor": ("shift-functor", A1_PERIODIC, "1"),
+    "rel-euler": ("rel-euler", A2_BOUNDED, "1"),
+    "toen": ("toen", A2_BOUNDED, "1"),
+    "freeness": ("freeness", A2_BOUNDED, "1"),
+    "rel-euler-total3": ("rel-euler", A2_BOUNDED, "2,total:3"),
+    "toen-total3": ("toen", A2_BOUNDED, "2,total:3"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_CASES))
+def test_verify_report_body_bytes(tmp_path, capsys, name):
+    suite, doc, cap = _REPORT_CASES[name]
     spec = write_spec(tmp_path, doc)
     out = tmp_path / "r.json"
     rc = cli.main(["verify", "--spec", spec, "--dim-cap", cap, suite, "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
     body = files.dump_doc(files.report_body(json.loads(out.read_text())))
-    assert hashlib.sha256(body.encode()).hexdigest() == REPORT_BODY_SHA256[suite]
+    assert hashlib.sha256(body.encode()).hexdigest() == REPORT_BODY_SHA256[name]
 
 
 def test_dh_table_solves_each_projective_hom_space_once(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hallforge import complexes as cx
 from hallforge.complexes import (
     ComplexCategory,
     contractible_generators,
@@ -16,6 +17,7 @@ from hallforge.errors import (
     SpecError,
     WindowOverflow,
 )
+from hallforge.hall import MemoryCache
 from hallforge.linalg import Field
 from hallforge.quiver import Quiver
 from hallforge.sdh import SDH, QuantumTorus
@@ -458,3 +460,98 @@ def test_shift_bounded_window_guard():
     # moving the top stalk down one degree is fine
     S1 = s.normalize(s.cat.stalk(1, 1))
     assert s.equal(s.pushforward_shift(S1, 1), S0)
+
+
+# ---- closed forms against their Hom-complex definitions ----
+
+A3_LINEAR = Quiver(3, [(1, 2), (2, 3)])
+A3_INWARD = Quiver(3, [(1, 2), (3, 2)])
+
+_FORM_GRIDS = {
+    "a2-q2-0-1": lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=1),
+    "a2-q2-0-2": lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=2),
+    "a2-q3-0-1": lambda: ComplexCategory(A2, F3, "bounded", lo=0, hi=1),
+    "a3-linear-q2-0-1": lambda: ComplexCategory(A3_LINEAR, F2, "bounded", lo=0, hi=1),
+    "a3-inward-q2-m1-0": lambda: ComplexCategory(A3_INWARD, F2, "bounded", lo=-1, hi=0),
+    "a2-q2-period-2": lambda: ComplexCategory(A2, F2, "periodic", period=2),
+    "a2-q3-period-3": lambda: ComplexCategory(A2, F3, "periodic", period=3),
+    "a3-inward-q2-period-2": lambda: ComplexCategory(A3_INWARD, F2, "periodic", period=2),
+}
+
+
+def _literal_euler(x, y):
+    """sum_p (-1)^p dim stable Hom(x[-p], y) over every p with maps."""
+    if not x.comps or not y.comps:
+        return 0
+    pmin = min(min(y.support) - max(x.support), 0)
+    pmax = max(max(y.support) - min(x.support), 0)
+    return sum(
+        (-1) ** (p % 2) * cx.stable_hom_dim(cx.shift(x, -p), y) for p in range(pmin, pmax + 1)
+    )
+
+
+def _literal_rel(cat, a, b):
+    """dim Hom - dim stable Hom + sum_{i=1}^{w+1} (-1)^(i+1) dim stable Hom(a, b[-i])."""
+    width = cat.hi - cat.lo
+    neg = sum(
+        (-1) ** ((i + 1) % 2) * cx.stable_hom_dim(a, cx.shift(b, -i)) for i in range(1, width + 2)
+    )
+    return cx.hom_dim_cx(a, b) - cx.stable_hom_dim(a, b) + neg
+
+
+@pytest.mark.parametrize("grid", list(_FORM_GRIDS))
+def test_closed_forms_match_hom_complex_definitions(grid):
+    s = SDH(_FORM_GRIDS[grid]())
+    reg = cx.enumerate_complexes(s.cat, max_total_dim=3)
+    objs = [reg.object(i) for i in range(len(reg))]
+    gens = [s.torus.gens[k] for k in s.torus.keys]
+    for x in objs + gens:
+        assert s.torus.hom_from(x) == [cx.hom_dim_cx(k, x) for k in gens]
+        assert s.torus.hom_to(x) == [cx.hom_dim_cx(x, k) for k in gens]
+    if s.cat.kind == "periodic":
+        return
+    for a in objs:
+        for b in objs:
+            assert cx.euler_exponent_cx(a, b) == _literal_euler(a, b)
+            assert s.rel_euler_exponent(a, b) == _literal_rel(s.cat, a, b)
+    # keys with nonnegative exponents against the objects that realize them
+    ids = s.stable_sample(max_total_dim=2)
+    keys = [(g, m) for m in ids for g in itertools.product(range(2), repeat=s.torus.rank)]
+    for kx in keys[:12]:
+        for ky in keys[:12]:
+            want = _literal_rel(s.cat, s.realize(*kx), s.realize(*ky))
+            assert s._rel_exponent_keys(kx, ky) == want
+
+
+def test_forms_and_torus_solve_no_hom_complex(monkeypatch):
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+    a = direct_sum_cx(cat.stalk(1, 0), cat.contractible_gen(2, 0))
+    b = direct_sum_cx(cat.stalk(2, 1), cat.stalk(1, 0))
+    # the strict products' pair records come from a cache filled beforehand,
+    # so only the twists, the rewriting and the torus are left to compute
+    warm = SDH(cat, cache=MemoryCache())
+    x = warm.normalize(a)
+    m_id = next(iter(x))[1]
+    want = (
+        warm.tw_product(x, warm.normalize(b)),
+        cx.euler_exponent_cx(a, b),
+        warm.rel_euler_exponent(a, b),
+        warm.commutation((1, 1), m_id),
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Hom complex solved")
+
+    for name in ("hom_dim_cx", "stable_hom_dim", "shift"):
+        monkeypatch.setattr(cx, name, forbidden)
+    s = SDH(cat, cache=warm.strict.cache)
+    x, y = s.normalize(a), s.normalize(b)
+    assert next(iter(x))[1] == m_id
+    got = (
+        s.tw_product(x, y),
+        cx.euler_exponent_cx(a, b),
+        s.rel_euler_exponent(a, b),
+        s.commutation((1, 1), m_id),
+    )
+    assert got == want
+    assert QuantumTorus(cat).pairing_exp == s.torus.pairing_exp
