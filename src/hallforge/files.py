@@ -298,6 +298,23 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "hallforge"
 
 
+def _json_line(line: bytes):
+    """The JSON value of one cache line, or None if it is blank, not UTF-8
+    or not JSON."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+
+
+def _ends_in_newline(path) -> bool:
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return True
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
+
+
 class FileCache:
     """JSONL pair-record cache bound to one spec hash.
 
@@ -324,27 +341,23 @@ class FileCache:
             self._load(read)
 
     def _load(self, read: bool) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        # line by line, so a line that is not UTF-8 is skipped like a torn one
+        with open(self.path, "rb") as fh:
             lines = fh.read().splitlines()
         if not lines:
             return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return
+        header = _json_line(lines[0])
         if (
-            header.get("format_version") != FORMAT_VERSION
+            not isinstance(header, dict)
+            or header.get("format_version") != FORMAT_VERSION
             or header.get("spec_hash") != self.spec_hash
         ):
             return
         self._valid_file = True
         for line in lines[1:]:
-            if not line.strip():
+            rec = _json_line(line)  # None for a torn tail write: drop the line, keep the file
+            if not isinstance(rec, dict):
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail write: drop the line, keep the file
             key = rec.get("key")
             if not isinstance(key, str) or "record" not in rec:
                 continue
@@ -368,7 +381,10 @@ class FileCache:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fresh = not (self.path.exists() and self._valid_file)
+            torn = not fresh and not _ends_in_newline(self.path)
             self._fh = open(self.path, "w" if fresh else "a", encoding="utf-8")
+            if torn:  # end the torn last line so this record starts a line of its own
+                self._fh.write("\n")
             if fresh:
                 self._fh.write(
                     json.dumps(
@@ -628,6 +644,8 @@ def read_element(path, handle: AlgebraHandle, family=None) -> dict:
     """
     family = family or algebra_family(handle.name)
     doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise SpecError(f"{path}: an element file must hold a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise SpecError(f"{path}: missing or unsupported format_version")
     if doc.get("kind") != "element":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -137,6 +138,19 @@ class SqrtExt:
         if self.b == 0:
             return f"{self.a}"
         return f"{self.a}+{self.b}v"
+
+
+def _as_triple(c, q: int) -> tuple[int, int, int]:
+    """Integers (A, B, D), D > 0, with c = (A + B v) / D: a SqrtExt over q
+    on the lcm of its two denominators, any rational with B = 0."""
+    if isinstance(c, SqrtExt):
+        if c.q != q:
+            raise ValueError("mixing square roots of different primes")
+        a, b = c.a, c.b
+        d = lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+    f = Fraction(c)
+    return f.numerator, 0, f.denominator
 
 
 # ---- backends ----
@@ -343,6 +357,7 @@ class HallAlgebra:
         self.q = backend.field.p
         self._pair_keys: dict[tuple[int, int], str] = {}  # (a_id, c_id) -> pair key
         self._resolved: dict[str, tuple] = {}  # pair key -> (hom, [(b_id, n)])
+        self._euler: dict[tuple[int, int], int] = {}  # (a_id, c_id) -> Euler exponent
 
     # -- elements --
 
@@ -440,32 +455,72 @@ class HallAlgebra:
 
     def product(self, x: dict, y: dict) -> dict:
         """Plain counting product, coefficients in Q."""
-        return self._product(x, y, lambda a_id, c_id: 1)
+        return self._product(x, y, twisted=False)
 
     def twisted_product(self, x: dict, y: dict) -> dict:
         """Euler-twisted product: pairwise scaled by v^{e(A, C)}, v^2 = q."""
-        bk = self.backend
+        return self._product(x, y, twisted=True)
 
-        def twist(a_id, c_id):
+    def _euler_exp(self, a_id: int, c_id: int) -> int:
+        e = self._euler.get((a_id, c_id))
+        if e is None:
+            bk = self.backend
             e = bk.euler_exp(bk.object(a_id), bk.object(c_id))
-            return SqrtExt.v_power(self.q, e)
+            self._euler[(a_id, c_id)] = e
+        return e
 
-        return self._product(x, y, twist)
-
-    def _product(self, x: dict, y: dict, twist) -> dict:
+    def _product(self, x: dict, y: dict, twisted: bool) -> dict:
         """Bilinear product: a pair [A], [C] with coefficients ca, cc adds
-        ca cc twist(A, C) |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B]."""
-        out: dict = {}
-        for a_id, ca in sorted(x.items()):
-            for c_id, cc in sorted(y.items()):
-                scale = ca * cc * twist(a_id, c_id)
+        ca cc v^e |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B], with
+        e = e(A, C) when `twisted` and e = 0 otherwise.
+
+        Every term is an integer triple (A, B, D) standing for (A + B v) / D
+        with D > 0, and each middle accumulates one triple; a coefficient
+        is built once, at the end: a SqrtExt when the product is twisted or
+        an input coefficient is a SqrtExt, a Fraction otherwise.  Zero
+        coefficients are dropped.
+        """
+        q = self.q
+        xs = [(i, _as_triple(c, q)) for i, c in sorted(x.items())]
+        ys = [(i, _as_triple(c, q)) for i, c in sorted(y.items())]
+        acc: dict[int, list[int]] = {}
+        for a_id, (a1, b1, d1) in xs:
+            for c_id, (a2, b2, d2) in ys:
+                num_a = a1 * a2 + q * b1 * b2
+                num_b = a1 * b2 + b1 * a2
+                den = d1 * d2
+                if twisted:
+                    e = self._euler_exp(a_id, c_id)
+                    if e & 1:  # (A + B v) v = q B + A v
+                        num_a, num_b = q * num_b, num_a
+                    k = e >> 1  # v^e = q^k, times v when e is odd
+                    if k > 0:
+                        num_a, num_b = num_a * q**k, num_b * q**k
+                    elif k < 0:
+                        den *= q**-k
                 hom, middles = self.ext_data(a_id, c_id)
+                den *= hom
                 for b_id, n in middles:
-                    s = out.get(b_id, 0) + scale * Fraction(n, hom)
-                    if s == 0:
-                        out.pop(b_id, None)
-                    else:
-                        out[b_id] = s
+                    t = acc.get(b_id)
+                    if t is None:
+                        acc[b_id] = [n * num_a, n * num_b, den]
+                    elif t[2] == den:
+                        t[0] += n * num_a
+                        t[1] += n * num_b
+                    else:  # over the lcm of the two denominators
+                        g = gcd(t[2], den)
+                        t[0] = t[0] * (den // g) + n * num_a * (t[2] // g)
+                        t[1] = t[1] * (den // g) + n * num_b * (t[2] // g)
+                        t[2] = t[2] // g * den
+        radical = twisted or any(isinstance(c, SqrtExt) for c in [*x.values(), *y.values()])
+        out: dict = {}
+        for b_id, (num_a, num_b, den) in acc.items():
+            if num_a == 0 and num_b == 0:
+                continue
+            if radical:
+                out[b_id] = SqrtExt(q, Fraction(num_a, den), Fraction(num_b, den))
+            else:
+                out[b_id] = Fraction(num_a, den)
         return out
 
 

@@ -169,10 +169,6 @@ def direct_sum(a: Rep, b: Rep) -> Rep:
     return Rep(a.quiver, field, dims, maps)
 
 
-def _kron_mod(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b) % p
-
-
 def _hom_constraint_matrix(a: Rep, b: Rep) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
     """delta (g_v) = (g_head a_alpha - b_alpha g_tail).  Columns: row-major
     vec of each g_v; rows: row-major f_alpha, arrow by arrow.
@@ -182,32 +178,29 @@ def _hom_constraint_matrix(a: Rep, b: Rep) -> tuple[np.ndarray, list[int], list[
     p = a.field.p
     q = a.quiver
     shapes = [(b.dims[v], a.dims[v]) for v in range(q.n)]
-    sizes = [r * c for r, c in shapes]
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
+    offs = [0, *itertools.accumulate(r * c for r, c in shapes)]
     total = offs[-1]
-    rows = []
+    nrows = sum(b.dims[h - 1] * a.dims[t - 1] for t, h in q.arrows)
+    mat = np.zeros((nrows, total), dtype=np.int64)
+    r0 = 0
     for i, (t, h) in enumerate(q.arrows):
-        rcount = b.dims[h - 1] * a.dims[t - 1]
-        if rcount == 0:
+        bh, at = b.dims[h - 1], a.dims[t - 1]
+        if bh * at == 0:
             continue
-        block = np.zeros((rcount, total), dtype=np.int64)
-        # vec(g_h @ A) = (I (x) A^T) vec(g_h), vec(B @ g_t) = (B (x) I) vec(g_t)
-        if sizes[h - 1]:
-            block[:, offs[h - 1]:offs[h]] = _kron_mod(
-                p, np.eye(b.dims[h - 1], dtype=np.int64), a.maps[i].a.T
-            )
-        if sizes[t - 1]:
-            block[:, offs[t - 1]:offs[t]] = (
-                block[:, offs[t - 1]:offs[t]]
-                - _kron_mod(p, b.maps[i].a, np.eye(a.dims[t - 1], dtype=np.int64))
-            ) % p
-        rows.append(block)
-    if rows:
-        mat = np.concatenate(rows, axis=0) % p
-    else:
-        mat = np.zeros((0, total), dtype=np.int64)
+        # row (i, j) of f_alpha; columns (r, s) of g_v as the last two axes
+        blk = mat[r0:r0 + bh * at].reshape(bh, at, total, copy=False)
+        r0 += bh * at
+        # (g_h A)_ij = sum_s g_h[i, s] A[s, j]: A^T where r = i
+        ah = a.dims[h - 1]
+        gh = blk[:, :, offs[h - 1]:offs[h]].reshape(bh, at, bh, ah, copy=False)
+        diag = np.arange(bh)
+        gh[diag, :, diag, :] += a.maps[i].a.T
+        # (B g_t)_ij = sum_r B[i, r] g_t[r, j]: -B where s = j
+        bt = b.dims[t - 1]
+        gt = blk[:, :, offs[t - 1]:offs[t]].reshape(bh, at, bt, at, copy=False)
+        diag = np.arange(at)
+        gt[:, diag, :, diag] -= b.maps[i].a
+    mat %= p
     return mat, offs, shapes
 
 

@@ -389,6 +389,17 @@ def test_exit_2_on_invalid_element_encoding(tmp_path, capsys, case, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [[1, 2], 5, "x"], ids=["array", "number", "string"])
+def test_exit_2_on_element_file_that_is_not_an_object(tmp_path, capsys, doc):
+    spec = write_spec(tmp_path, A2_ABELIAN)
+    x, _ = simple_elements(tmp_path)
+    el = tmp_path / "el.json"
+    el.write_text(json.dumps(doc))
+    for operands in ([x, str(el)], [str(el), x]):
+        assert cli.main(["product", "--spec", spec, *operands]) == 2
+        assert "error[SPEC_INVALID]" in capsys.readouterr().err
+
+
 def test_exit_4_on_undefined_products(tmp_path, capsys):
     spec = write_spec(tmp_path, A1_PERIODIC)
     x = tmp_path / "x.json"
@@ -451,6 +462,20 @@ def test_cache_reused_between_invocations(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     # warm run added no new records
     assert len(cache_file.read_text().splitlines()) == lines_before
+
+
+def test_cache_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "1,total:2", "--out"]
+    assert cli.main(argv + [str(tmp_path / "clean.json")]) == 0
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_BOUNDED).spec_hash}.jsonl"
+    with open(cache_file, "ab") as fh:
+        fh.write(b"\xff\xfe garbage")
+    clean = (tmp_path / "clean.json").read_bytes()
+    for name, extra in (("warm.json", []), ("nocache.json", ["--no-cache"])):
+        assert cli.main(argv + [str(tmp_path / name)] + extra) == 0
+        assert (tmp_path / name).read_bytes() == clean
+    assert capsys.readouterr().err == ""
 
 
 def _first_rows(rec):

@@ -216,6 +216,42 @@ def test_file_cache_tolerates_torn_tail(tmp_path):
     assert c2.get("k2") is None
 
 
+def test_file_cache_put_after_torn_tail_starts_a_new_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    c1 = FileCache(path, "a" * 64)
+    c1.put("k", {"hom": 1, "middles": []})
+    c1.close()
+    with open(path, "a") as fh:
+        fh.write('{"key": "k2", "record"')  # torn write, no newline
+    c2 = FileCache(path, "a" * 64)
+    c2.put("k3", {"hom": 2, "middles": []})
+    c2.close()
+    c3 = FileCache(path, "a" * 64)
+    assert c3.get("k") == {"hom": 1, "middles": []}
+    assert c3.get("k2") is None
+    assert c3.get("k3") == {"hom": 2, "middles": []}
+    assert path.read_text().endswith('"record"\n' + json.dumps(
+        {"key": "k3", "record": {"hom": 2, "middles": []}}, sort_keys=True) + "\n")
+
+
+def test_file_cache_skips_lines_that_are_not_utf8_or_objects(tmp_path):
+    path = tmp_path / "c.jsonl"
+    c1 = FileCache(path, "a" * 64)
+    c1.put("k", {"hom": 1, "middles": []})
+    c1.close()
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n[1, 2]\n\"k\"\n")
+    for read in (True, False):
+        c2 = FileCache(path, "a" * 64, read=read)
+        assert c2.get("k") == ({"hom": 1, "middles": []} if read else None)
+        assert c2.persisted == (set() if read else {"k"})
+        c2.close()
+    # a header that is not UTF-8, or not an object, marks a foreign file
+    for header in (b"\xff\n", b"[1]\n"):
+        path.write_bytes(header + path.read_bytes().split(b"\n", 1)[1])
+        assert FileCache(path, "a" * 64).get("k") is None
+
+
 def test_open_cache_respects_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HALLFORGE_CACHE_DIR", str(tmp_path / "boxes"))
     spec = CategorySpec.from_dict(a2_spec())

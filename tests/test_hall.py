@@ -18,6 +18,7 @@ from hallforge.complexes import (
     ComplexCategory,
     contractible_generators,
     direct_sum_cx,
+    enumerate_complexes,
 )
 from hallforge.errors import EulerUndefined
 from hallforge.hall import (
@@ -368,6 +369,108 @@ def test_complex_backend_twisted_associativity_bounded():
     ]
     assert verify_associativity(alg, ids) == []
     assert verify_associativity(alg, ids, twisted=True) == []
+
+
+# ---- integer product loop against the Fraction / SqrtExt reference ----
+
+
+def _reference_product(alg, x, y, twisted):
+    """HallAlgebra._product as it was before it carried integers: every
+    pair term a Fraction or SqrtExt product, summed term by term."""
+    bk = alg.backend
+
+    def twist(a_id, c_id):
+        if not twisted:
+            return 1
+        return SqrtExt.v_power(alg.q, bk.euler_exp(bk.object(a_id), bk.object(c_id)))
+
+    out = {}
+    for a_id, ca in sorted(x.items()):
+        for c_id, cc in sorted(y.items()):
+            scale = ca * cc * twist(a_id, c_id)
+            hom, middles = alg.ext_data(a_id, c_id)
+            for b_id, n in middles:
+                s = out.get(b_id, 0) + scale * Fraction(n, hom)
+                if s == 0:
+                    out.pop(b_id, None)
+                else:
+                    out[b_id] = s
+    return out
+
+
+def _assert_matches_reference(alg, x, y, twisted):
+    got = (alg.twisted_product if twisted else alg.product)(x, y)
+    want = _reference_product(alg, x, y, twisted)
+    assert got.keys() == want.keys()
+    for k, c in want.items():
+        assert type(got[k]) is type(c) and got[k] == c, (x, y, twisted, k)
+    return got
+
+
+A3 = Quiver(3, [(1, 2), (2, 3)])
+A3_INWARD = Quiver(3, [(1, 2), (3, 2)])
+KRONECKER = Quiver(2, [(1, 2), (1, 2)])
+F5 = Field(5)
+
+
+def _rep_grid(quiver, field, cap):
+    bk = RepBackend(quiver, field)
+    enumerate_reps(quiver, field, cap, registry=bk.registry)
+    return HallAlgebra(bk)
+
+
+def _bounded_grid():
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+    bk = CxBackend(cat)
+    enumerate_complexes(cat, max_degree_dim=1, registry=bk.registry)
+    return HallAlgebra(bk)
+
+
+_PRODUCT_GRIDS = {
+    "a2-q2-cap22": lambda: _rep_grid(A2, F2, (2, 2)),
+    "a2-q3-cap21": lambda: _rep_grid(A2, F3, (2, 1)),
+    "a2-q5-cap11": lambda: _rep_grid(A2, F5, (1, 1)),
+    "a3-q2-cap111": lambda: _rep_grid(A3, F2, (1, 1, 1)),
+    "a3-inward-q2-cap111": lambda: _rep_grid(A3_INWARD, F2, (1, 1, 1)),
+    "kronecker-q2-cap11": lambda: _rep_grid(KRONECKER, F2, (1, 1)),
+    "bounded-01-q2": _bounded_grid,
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_PRODUCT_GRIDS))
+def test_product_matches_fraction_reference(grid):
+    alg = _PRODUCT_GRIDS[grid]()
+    q = alg.q
+    ids = list(range(len(alg.backend.registry.objs)))
+    exponents = set()
+    for a, c in itertools.product(ids, repeat=2):
+        for twisted in (False, True):
+            _assert_matches_reference(alg, {a: Fraction(1)}, {c: Fraction(1)}, twisted)
+        _assert_matches_reference(alg, {a: SqrtExt(q, 1)}, {c: SqrtExt(q, 1)}, True)
+        exponents.add(alg._euler_exp(a, c))
+    # the grid reaches odd and negative powers of v
+    assert any(e % 2 for e in exponents) and min(exponents) < 0
+    rng = np.random.default_rng(len(ids))
+    coeffs = [Fraction(-7, 10), Fraction(1, 3), Fraction(2), Fraction(-5, 7), Fraction(q - 1, q)]
+    for _ in range(12):
+        x = {int(i): coeffs[int(j)] for i, j in zip(rng.choice(ids, 3), rng.choice(5, 3))}
+        y = {int(i): coeffs[int(j)] for i, j in zip(rng.choice(ids, 3), rng.choice(5, 3))}
+        for twisted in (False, True):
+            _assert_matches_reference(alg, x, y, twisted)
+        # SqrtExt inputs with a v part, into the plain product too
+        xs = {k: SqrtExt(q, c, Fraction(1, 3) - c) for k, c in x.items()}
+        for twisted in (False, True):
+            _assert_matches_reference(alg, xs, y, twisted)
+    # pair terms that cancel: [0][c] - [c][0] leaves no [c] coefficient
+    zero = alg.backend.zero_id()
+    for c in ids:
+        if c == zero:
+            continue
+        for twisted in (False, True):
+            got = _assert_matches_reference(
+                alg, {zero: Fraction(1), c: Fraction(-1)}, {c: Fraction(1), zero: Fraction(1)}, twisted
+            )
+            assert c not in got and got[zero] == 1
 
 
 # ---- cache behaviour ----

@@ -642,6 +642,52 @@ def test_ext1_space_matches_two_elimination_reference(grid):
     assert nonsplit
 
 
+def _kron_constraint_matrix(a, b):
+    """_hom_constraint_matrix as it was built from Kronecker products:
+    vec(g_h A) = (I (x) A^T) vec(g_h) and vec(B g_t) = (B (x) I) vec(g_t),
+    one block of rows per arrow, concatenated."""
+    p = a.field.p
+    q = a.quiver
+    shapes = [(b.dims[v], a.dims[v]) for v in range(q.n)]
+    sizes = [r * c for r, c in shapes]
+    offs = [0, *itertools.accumulate(sizes)]
+    total = offs[-1]
+    rows = []
+    for i, (t, h) in enumerate(q.arrows):
+        rcount = b.dims[h - 1] * a.dims[t - 1]
+        if rcount == 0:
+            continue
+        block = np.zeros((rcount, total), dtype=np.int64)
+        if sizes[h - 1]:
+            block[:, offs[h - 1]:offs[h]] = np.kron(
+                np.eye(b.dims[h - 1], dtype=np.int64), a.maps[i].a.T
+            ) % p
+        if sizes[t - 1]:
+            block[:, offs[t - 1]:offs[t]] = (
+                block[:, offs[t - 1]:offs[t]]
+                - np.kron(b.maps[i].a, np.eye(a.dims[t - 1], dtype=np.int64)) % p
+            ) % p
+        rows.append(block)
+    if rows:
+        mat = np.concatenate(rows, axis=0) % p
+    else:
+        mat = np.zeros((0, total), dtype=np.int64)
+    return mat, offs, shapes
+
+
+@pytest.mark.parametrize("grid", sorted(_EXT_GRIDS))
+def test_hom_constraint_matrix_matches_kron_reference(grid):
+    quiver, field, cap = _EXT_GRIDS[grid]
+    objs = enumerate_reps(quiver, field, cap).objs
+    assert any(o.total_dim() == 0 for o in objs)
+    for a, c in itertools.product(objs, repeat=2):
+        mat, offs, shapes = quiver_mod._hom_constraint_matrix(a, c)
+        ref, ref_offs, ref_shapes = _kron_constraint_matrix(a, c)
+        assert mat.dtype == ref.dtype and mat.shape == ref.shape
+        assert np.array_equal(mat, ref)
+        assert (offs, shapes) == (ref_offs, ref_shapes)
+
+
 # ---- memoised classification against unshared objects ----
 
 
