@@ -50,17 +50,6 @@ class SqrtExt:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
-    @classmethod
-    def v(cls, q: int) -> "SqrtExt":
-        return cls(q, 0, 1)
-
-    @classmethod
-    def v_power(cls, q: int, e: int) -> "SqrtExt":
-        """v^e for any integer e (v^-1 = v/q)."""
-        if e % 2 == 0:
-            return cls(q, Fraction(q) ** (e // 2), 0)
-        return cls(q, 0, Fraction(q) ** ((e - 1) // 2))
-
     def _coerce(self, other) -> "SqrtExt":
         if isinstance(other, SqrtExt):
             if other.q != self.q:
@@ -357,7 +346,6 @@ class HallAlgebra:
         self.q = backend.field.p
         self._pair_keys: dict[tuple[int, int], str] = {}  # (a_id, c_id) -> pair key
         self._resolved: dict[str, tuple] = {}  # pair key -> (hom, [(b_id, n)])
-        self._euler: dict[tuple[int, int], int] = {}  # (a_id, c_id) -> Euler exponent
 
     # -- elements --
 
@@ -461,14 +449,6 @@ class HallAlgebra:
         """Euler-twisted product: pairwise scaled by v^{e(A, C)}, v^2 = q."""
         return self._product(x, y, twisted=True)
 
-    def _euler_exp(self, a_id: int, c_id: int) -> int:
-        e = self._euler.get((a_id, c_id))
-        if e is None:
-            bk = self.backend
-            e = bk.euler_exp(bk.object(a_id), bk.object(c_id))
-            self._euler[(a_id, c_id)] = e
-        return e
-
     def _product(self, x: dict, y: dict, twisted: bool) -> dict:
         """Bilinear product: a pair [A], [C] with coefficients ca, cc adds
         ca cc v^e |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B], with
@@ -480,7 +460,7 @@ class HallAlgebra:
         an input coefficient is a SqrtExt, a Fraction otherwise.  Zero
         coefficients are dropped.
         """
-        q = self.q
+        bk, q = self.backend, self.q
         xs = [(i, _as_triple(c, q)) for i, c in sorted(x.items())]
         ys = [(i, _as_triple(c, q)) for i, c in sorted(y.items())]
         acc: dict[int, list[int]] = {}
@@ -490,7 +470,7 @@ class HallAlgebra:
                 num_b = a1 * b2 + b1 * a2
                 den = d1 * d2
                 if twisted:
-                    e = self._euler_exp(a_id, c_id)
+                    e = bk.euler_exp(bk.object(a_id), bk.object(c_id))
                     if e & 1:  # (A + B v) v = q B + A v
                         num_a, num_b = q * num_b, num_a
                     k = e >> 1  # v^e = q^k, times v when e is odd
@@ -504,9 +484,6 @@ class HallAlgebra:
                     t = acc.get(b_id)
                     if t is None:
                         acc[b_id] = [n * num_a, n * num_b, den]
-                    elif t[2] == den:
-                        t[0] += n * num_a
-                        t[1] += n * num_b
                     else:  # over the lcm of the two denominators
                         g = gcd(t[2], den)
                         t[0] = t[0] * (den // g) + n * num_a * (t[2] // g)

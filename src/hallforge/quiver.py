@@ -187,17 +187,19 @@ def _hom_constraint_matrix(a: Rep, b: Rep) -> tuple[np.ndarray, list[int], list[
         bh, at = b.dims[h - 1], a.dims[t - 1]
         if bh * at == 0:
             continue
-        # row (i, j) of f_alpha; columns (r, s) of g_v as the last two axes
-        blk = mat[r0:r0 + bh * at].reshape(bh, at, total, copy=False)
+        # row (i, j) of f_alpha; columns (r, s) of g_v as the last two axes.
+        # Each reshape takes whole rows or splits the last axis, so it is a
+        # view and the writes land in mat.
+        blk = mat[r0:r0 + bh * at].reshape(bh, at, total)
         r0 += bh * at
         # (g_h A)_ij = sum_s g_h[i, s] A[s, j]: A^T where r = i
         ah = a.dims[h - 1]
-        gh = blk[:, :, offs[h - 1]:offs[h]].reshape(bh, at, bh, ah, copy=False)
+        gh = blk[:, :, offs[h - 1]:offs[h]].reshape(bh, at, bh, ah)
         diag = np.arange(bh)
         gh[diag, :, diag, :] += a.maps[i].a.T
         # (B g_t)_ij = sum_r B[i, r] g_t[r, j]: -B where s = j
         bt = b.dims[t - 1]
-        gt = blk[:, :, offs[t - 1]:offs[t]].reshape(bh, at, bt, at, copy=False)
+        gt = blk[:, :, offs[t - 1]:offs[t]].reshape(bh, at, bt, at)
         diag = np.arange(at)
         gt[:, diag, :, diag] -= b.maps[i].a
     mat %= p
