@@ -113,6 +113,7 @@ class ComplexCategory:
         self._stack_memo: dict = {}
         self._zero_memo: dict = {}
         self._merge_memo: dict = {}
+        self._hom_slot = None  # the last pair's _HomComplex, see _hom_complex
 
     # ---- degrees ----
 
@@ -359,26 +360,27 @@ class Complex:
             n0 = int(n)
             if n0 not in self.diffs and any(not m.is_zero() for m in given_diffs[n]):
                 raise SpecError(f"differential at degree {n} has a zero end")
+        # the products below run on the raw arrays, reduced mod p
+        p = cat.field.p
         for n, d in self.diffs.items():
             src = self.rep(n)
             tgt = self.rep(self.cat.next_deg(n))
             if len(d) != cat.quiver.n:
                 raise SpecError(f"differential at degree {n}: need one matrix per vertex")
+            a = [m.a for m in d]
             for v in range(cat.quiver.n):
-                if d[v].a.shape != (tgt.dims[v], src.dims[v]):
+                if a[v].shape != (tgt.dims[v], src.dims[v]):
                     raise SpecError(f"differential at degree {n}: vertex {v + 1} shape mismatch")
             # must be a morphism of representations
             for i, (t, h) in enumerate(cat.quiver.arrows):
-                lhs = d[h - 1] @ src.maps[i]
-                rhs = tgt.maps[i] @ d[t - 1]
-                if lhs.entries() != rhs.entries():
+                if ((a[h - 1] @ src.maps[i].a - tgt.maps[i].a @ a[t - 1]) % p).any():
                     raise SpecError(f"differential at degree {n} is not a rep morphism")
         # d d = 0 wherever both factors exist
         for n in self.diffs:
             n1 = self.cat.next_deg(n)
             if n1 in self.diffs:
                 for v in range(cat.quiver.n):
-                    if not (self.diffs[n1][v] @ self.diffs[n][v]).is_zero():
+                    if ((self.diffs[n1][v].a @ self.diffs[n][v].a) % p).any():
                         raise SpecError(f"d_{n1} d_{n} != 0 at vertex {v + 1}")
 
     # ---- access ----
@@ -587,26 +589,53 @@ def _scatter(out: np.ndarray, cols: slice, space: _MapSpace, n: int, terms, sign
         out[offs[v]:offs[v + 1], cols] += sign * t.reshape(count, r * c).T
 
 
+def _unstack(space: _MapSpace, n: int, cols: np.ndarray) -> list[np.ndarray]:
+    """The degree-n components of raw columns of space, per vertex as a
+    stack of shape (column count, rows, cols)."""
+    offs = space.raw_offsets[n]
+    return [
+        cols[offs[v]:offs[v + 1]].T.reshape(cols.shape[1], r, c)
+        for v, (r, c) in enumerate(space.shapes[n])
+    ]
+
+
 def _differential_terms(
-    x: Complex, y: Complex, k: int, space: _MapSpace, out_space: _MapSpace, ysign: int, xsign: int
+    x: Complex,
+    y: Complex,
+    k: int,
+    space: _MapSpace,
+    out_space: _MapSpace,
+    ysign: int,
+    xsign: int,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Raw columns (in out_space) of ysign d_y f + xsign f d_x for each
-    hom-basis variable f of space (degree k): the term d_{y, n+k} f_n lands
-    at degree n and f_n d_{x, n-1} at degree n-1.  One product per degree
-    and vertex multiplies the whole basis stack at once."""
+    hom-basis variable f of space (degree k), or for each raw column of
+    space in cols: the term d_{y, n+k} f_n lands at degree n and
+    f_n d_{x, n-1} at degree n-1.  One product per degree and vertex
+    multiplies the whole stack at once."""
     cat = x.cat
-    out = np.zeros((out_space.raw_dim, space.nvars), dtype=np.int64)
+    width = space.nvars if cols is None else cols.shape[1]
+    out = np.zeros((out_space.raw_dim, width), dtype=np.int64)
     for n in space.degrees:
-        stack = space.stacks[n]
-        cols = space.columns(n)
+        if cols is None:
+            stack, where = space.stacks[n], space.columns(n)
+        else:
+            stack, where = _unstack(space, n, cols), slice(None)
         dy = y.diffs.get(cat.wrap(n + k))
         if dy is not None:
-            _scatter(out, cols, out_space, n, [d.a @ f for d, f in zip(dy, stack)], ysign)
+            _scatter(out, where, out_space, n, [d.a @ f for d, f in zip(dy, stack)], ysign)
         nprev = cat.prev_deg(n)
         dx = x.diffs.get(nprev)
         if dx is not None:
-            _scatter(out, cols, out_space, nprev, [f @ d.a for f, d in zip(stack, dx)], xsign)
+            _scatter(out, where, out_space, nprev, [f @ d.a for f, d in zip(stack, dx)], xsign)
     return out % cat.field.p
+
+
+def _sign(k: int) -> int:
+    """s in the degree-k differential d_y f + s f d_x of the Hom complex:
+    -1 for even k, +1 for odd k."""
+    return 1 if k % 2 == 1 else -1
 
 
 def _chain_constraint_matrix(x: Complex, y: Complex, k: int, space: _MapSpace) -> np.ndarray:
@@ -614,7 +643,7 @@ def _chain_constraint_matrix(x: Complex, y: Complex, k: int, space: _MapSpace) -
     for each hom-basis variable f of space; rows are the raw coordinates of
     the constraint targets, maps x_n -> y_{n+k+1}."""
     tgt_space = _map_space(x, y, k + 1)
-    return _differential_terms(x, y, k, space, tgt_space, 1, 1 if k % 2 == 1 else -1)
+    return _differential_terms(x, y, k, space, tgt_space, 1, _sign(k))
 
 
 def _chain_constraint_kernel(x: Complex, y: Complex, k: int, space: _MapSpace):
@@ -648,8 +677,8 @@ def hom_chain_basis(x: Complex, y: Complex) -> list[dict]:
 
 
 def hom_dim_cx(x: Complex, y: Complex) -> int:
-    space = _map_space(x, y, 0)
-    return len(_chain_constraint_kernel(x, y, 0, space))
+    """dim of the chain maps x -> y: the cocycles Z^0 of the Hom complex."""
+    return _hom_complex(x, y).cycles_dim(0)
 
 
 def hom_card(x: Complex, y: Complex) -> int:
@@ -672,31 +701,112 @@ def _cocycle_columns(space: _MapSpace, ker, p: int) -> np.ndarray:
     return basis @ np.stack(ker, axis=1) % p
 
 
-def _cohomology(x: Complex, y: Complex, k: int):
-    """H^k of the Hom complex from x to y, None if it has no cocycles, else
-    (map space, raw cocycle columns, indices of the complement cocycles).
+class HomComplexError(RuntimeError):
+    """The Hom complex broke an invariant that holds for every pair of
+    complexes: some d^k d^(k-1) != 0, or a coboundary outside the cocycles."""
 
-    H^0 is stable Hom and H^1 is Ext^1.  One row reduction of
-    [coboundaries | cocycles] picks the first cocycles independent modulo
-    the coboundaries; these lie in the cocycles, so the pivots number dim Z^k.
+
+class _HomComplex:
+    """The Hom complex Hom^k(x, y) = prod_n Hom(x_n, y_{n+k}) with
+    differential d^k f = d_y f + s f d_x (s from `_sign`).
+
+    Z^0 is the chain maps and H^0 stable Hom; H^-i is stable
+    Hom(x, y[-i]) and H^1 is Ext^1 (the images of d^-1 and d^0 are the
+    null-homotopic maps and, up to sign, the cocycle coboundaries).  Each
+    degree's layout, differential and rank is built at most once, and
+    dim H^k = dim Hom^k - rank d^k - rank d^(k-1).
     """
-    field = x.cat.field
-    space = _map_space(x, y, k)
-    ker = _chain_constraint_kernel(x, y, k, space)
-    if not ker:
-        return None
-    zcols = _cocycle_columns(space, ker, field.p)
-    bcols = _homotopy_image_columns(x, y, k, space)
-    nb = bcols.shape[1]
-    piv = rref(Matrix(field, np.concatenate([bcols, zcols], axis=1)))[1]
-    assert len(piv) == len(ker), "coboundaries escaped the cocycle space"
-    return space, zcols, [c0 - nb for c0 in piv if c0 >= nb]
+
+    def __init__(self, x: Complex, y: Complex):
+        self.x, self.y = x, y
+        self.field = x.cat.field
+        self._spaces: dict[int, _MapSpace] = {}
+        self._diffs: dict[int, np.ndarray] = {}
+        self._ranks: dict[int, int] = {}
+
+    def space(self, k: int) -> _MapSpace:
+        hit = self._spaces.get(k)
+        if hit is None:
+            hit = self._spaces[k] = _map_space(self.x, self.y, k)
+        return hit
+
+    def _apply(self, k: int, cols: np.ndarray | None = None) -> np.ndarray:
+        """d^k of the hom-basis variables of Hom^k, or of the raw columns
+        cols of Hom^k, as raw columns in Hom^(k+1)."""
+        space, out_space = self.space(k), self.space(k + 1)
+        return _differential_terms(self.x, self.y, k, space, out_space, 1, _sign(k), cols)
+
+    def differential(self, k: int) -> np.ndarray:
+        """d^k as raw columns in Hom^(k+1), one per hom-basis variable of Hom^k."""
+        hit = self._diffs.get(k)
+        if hit is None:
+            hit = self._diffs[k] = self._apply(k)
+        return hit
+
+    def rank_d(self, k: int) -> int:
+        """rank d^k (0 without building anything when Hom^k is 0)."""
+        hit = self._ranks.get(k)
+        if hit is None:
+            d = self.differential(k) if self.space(k).nvars else None
+            hit = rank(Matrix(self.field, d)) if d is not None and d.any() else 0
+            self._ranks[k] = hit
+        return hit
+
+    def cycles_dim(self, k: int) -> int:
+        """dim Z^k = dim Hom^k - rank d^k."""
+        return self.space(k).nvars - self.rank_d(k)
+
+    def dim(self, k: int) -> int:
+        """dim H^k, once d^k is seen to kill the image of d^(k-1)."""
+        if not self.space(k).nvars:
+            return 0
+        if self.space(k - 1).nvars:
+            image = self.differential(k - 1)
+            if image.any() and self._apply(k, image).any():
+                raise HomComplexError(f"d^{k} d^{k - 1} != 0 in the Hom complex")
+        return self.cycles_dim(k) - self.rank_d(k - 1)
+
+    def ext1(self):
+        """H^1 as (map space, raw cocycle columns, indices of the complement
+        cocycles), None if it has no cocycles.
+
+        The cocycles are the kernel of d^1.  One row reduction of
+        [d^0 | cocycles] picks the first cocycles independent modulo the
+        coboundaries; these lie in the cocycles, so the pivots number dim Z^1.
+        """
+        field = self.field
+        space = self.space(1)
+        if not space.nvars:
+            return None
+        ker = kernel_basis(Matrix(field, self.differential(1)))
+        self._ranks[1] = space.nvars - len(ker)
+        if not ker:
+            return None
+        zcols = _cocycle_columns(space, ker, field.p)
+        bcols = self.differential(0)
+        nb = bcols.shape[1]
+        piv = rref(Matrix(field, np.concatenate([bcols, zcols], axis=1)))[1]
+        if len(piv) != len(ker):
+            raise HomComplexError("coboundaries escaped the cocycle space")
+        self._ranks[0] = sum(c0 < nb for c0 in piv)
+        return space, zcols, [c0 - nb for c0 in piv if c0 >= nb]
+
+
+def _hom_complex(x: Complex, y: Complex) -> _HomComplex:
+    """The Hom complex of (x, y), kept in a one-entry slot on the category
+    so that consecutive calls on one pair share it (`SDH._dh_pair` asks for
+    Ext^1, H^0 and the H^-i in a row; `CxBackend.raw_ext_data` for Ext^1
+    and then Z^0)."""
+    cat = x.cat
+    hc = cat._hom_slot
+    if hc is None or hc.x is not x or hc.y is not y:
+        hc = cat._hom_slot = _HomComplex(x, y)
+    return hc
 
 
 def stable_hom_dim(x: Complex, y: Complex) -> int:
-    """log_p of the chain maps modulo null-homotopic ones."""
-    h = _cohomology(x, y, 0)
-    return 0 if h is None else len(h[2])
+    """log_p of the chain maps modulo null-homotopic ones: H^0 of the Hom complex."""
+    return _hom_complex(x, y).dim(0)
 
 
 def stable_hom_card(x: Complex, y: Complex) -> int:
@@ -716,10 +826,10 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
 
     Cocycles are degree-1 maps a -> c with d_c f + f d_a = 0; classes are
     cosets of the coboundaries h d_a - d_c h.  Representatives combine the
-    complement cocycles of `_cohomology` lexicographically, zero (split)
+    complement cocycles of `_HomComplex.ext1` lexicographically, zero (split)
     class first.
     """
-    h = _cohomology(a, c, 1)
+    h = _hom_complex(a, c).ext1()
     if h is None:
         return CxExt1(0, [{}] if enumerate_reps else None)
     space, zcols, compl = h

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from fractions import Fraction
@@ -86,7 +87,69 @@ def coeff_from_json(row: dict, q: int):
 
 
 def dump_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) plus a newline, byte for byte.
+
+    With an indent, json.dumps runs its pure-Python encoder; `_write_indented`
+    writes the same text directly.  Documents holding anything else than
+    str, int, bool, None, finite floats, lists, tuples and str-keyed dicts
+    go to json.dumps itself."""
+    out: list[str] = []
+    try:
+        _write_indented(doc, out, "\n")
+    except _Unwritten:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Unwritten(Exception):
+    """A value `_write_indented` leaves to json.dumps."""
+
+
+def _write_indented(o, out: list, pad: str) -> None:
+    """Append the text json.dumps(indent=2, sort_keys=True) gives o, at the
+    indentation where pad (a newline and spaces) starts its lines."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float) and math.isfinite(o):
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_indented(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        if not all(isinstance(k, str) for k in o):
+            raise _Unwritten
+        inner = pad + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _encode_str(k) + ": ")
+            _write_indented(o[k], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise _Unwritten
 
 
 def write_json(path, doc: dict) -> None:

@@ -669,6 +669,10 @@ def test_bounded_table_bytes_across_cache_states(tmp_path, doc, cap, algebra, di
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     # cold cache, warm cache and no-cache: the recorded bytes
     assert digests == [digest] * 3
+    # which are json.dumps's indented text of the document
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert files.dump_doc(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 _REPORT_CASES = {
@@ -691,8 +695,12 @@ def test_verify_report_body_bytes(tmp_path, capsys, name):
     rc = cli.main(["verify", "--spec", spec, "--dim-cap", cap, suite, "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
-    body = files.dump_doc(files.report_body(json.loads(out.read_text())))
+    text = out.read_text()
+    body = files.dump_doc(files.report_body(json.loads(text)))
     assert hashlib.sha256(body.encode()).hexdigest() == REPORT_BODY_SHA256[name]
+    # the whole report, wall_time float included, is json.dumps's indented text
+    doc = json.loads(text)
+    assert files.dump_doc(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
 def test_dh_table_solves_each_projective_hom_space_once(tmp_path, monkeypatch):

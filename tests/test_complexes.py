@@ -859,6 +859,63 @@ def test_complex_validation():
     assert good.total_dim() == 2
 
 
+def _validation_case(name):
+    """(category, comps, diffs) that break one check of Complex._validate,
+    over F_3 so that the products are reduced mod p, not compared raw."""
+    one = Matrix.identity(F3, 1)
+    a1, a2 = a1_bounded(3), a2_bounded(3)
+    if name == "window":
+        return a1, {a1.hi + a1.headroom + 1: (1,)}, {}
+    if name == "periodic degree":
+        return a1_periodic(3), {2: (1,)}, {}
+    if name == "multiplicity vector":
+        return a2, {0: (1, 0, 0)}, {}
+    if name == "zero end":
+        return a1, {0: (1,)}, {0: (one,)}
+    if name == "one matrix per vertex":
+        return a2, {0: (1, 0), 1: (1, 0)}, {0: (one,)}
+    if name == "shape":
+        return a1, {0: (1,), 1: (1,)}, {0: (Matrix.identity(F3, 2),)}
+    if name == "rep morphism":
+        # P_1 -> P_2 over A2 `1 -> 2`, nonzero at vertex 2: Hom(P_1, P_2) = 0
+        return a2, {0: (1, 0), 1: (0, 1)}, {0: (Matrix.zeros(F3, 0, 1), Matrix(F3, [[1]]))}
+    assert name == "d d"
+    return a1, {0: (1,), 1: (2,), 2: (1,)}, {
+        0: (Matrix(F3, [[1], [1]]),),
+        1: (Matrix(F3, [[1, 1]]),),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, error, message",
+    [
+        ("window", WindowOverflow, "outside representable range"),
+        ("periodic degree", SpecError, "periodic degree 2 outside 0..1"),
+        ("multiplicity vector", SpecError, "bad multiplicity vector at degree 0"),
+        ("zero end", SpecError, "differential at degree 0 has a zero end"),
+        ("one matrix per vertex", SpecError, "need one matrix per vertex"),
+        ("shape", SpecError, "vertex 1 shape mismatch"),
+        ("rep morphism", SpecError, "differential at degree 0 is not a rep morphism"),
+        ("d d", SpecError, r"d_1 d_0 != 0 at vertex 1"),
+    ],
+)
+def test_complex_validation_branches(name, error, message):
+    cat, comps, diffs = _validation_case(name)
+    with pytest.raises(error, match=message):
+        Complex(cat, comps, diffs)
+
+
+def test_complex_validation_reduces_products_mod_p():
+    # d_1 d_0 = 1 + 2 = 3 = 0 over F_3: a complex, though not over the integers
+    cat = a1_bounded(3)
+    x = Complex(
+        cat,
+        {0: (1,), 1: (2,), 2: (1,)},
+        {0: (Matrix(F3, [[1], [1]]),), 1: (Matrix(F3, [[1, 2]]),)},
+    )
+    assert x.total_dim() == 4
+
+
 def test_hom_multiplicative_over_sums():
     cat = a1_periodic()
     gens = contractible_generators(cat)
@@ -1388,9 +1445,10 @@ _COHOMOLOGY_GRIDS = {
 
 @pytest.mark.parametrize("grid", sorted(_COHOMOLOGY_GRIDS))
 def test_cohomology_matches_two_rank_reference(grid):
-    reg = enumerate_complexes(_COHOMOLOGY_GRIDS[grid](), max_total_dim=3)
+    cat = _COHOMOLOGY_GRIDS[grid]()
+    reg = enumerate_complexes(cat, max_total_dim=3)
     classes = reg.objs[:15]
-    nonzero = [0, 0]
+    nonzero = [0, 0, 0]
     for a, c in itertools.product(classes, repeat=2):
         shom = stable_hom_dim(a, c)
         assert shom == _reference_stable_hom_dim(a, c)
@@ -1399,6 +1457,61 @@ def test_cohomology_matches_two_rank_reference(grid):
         assert ext.dim == dim == ext1_classes(a, c, enumerate_reps=False).dim
         # the same representatives in the same order: same middles, same ids
         assert _cocycle_entries(ext.reps) == _cocycle_entries(reps)
+        # every degree read off one Hom complex, against the shifted routes
+        hc = cx._HomComplex(a, c)
+        assert hom_dim_cx(a, c) == hc.cycles_dim(0)
+        assert hc.cycles_dim(0) == len(_chain_constraint_kernel(a, c, 0, _map_space(a, c, 0)))
+        if cat.kind == "bounded":
+            for i in range(1, cat.hi - cat.lo + 2):
+                neg = hc.dim(-i)
+                assert neg == _reference_stable_hom_dim(a, shift(c, -i))
+                nonzero[2] += neg > 0
+        else:
+            nonzero[2] += 1
+        assert hc.dim(0) == shom
+        assert hc.dim(1) == dim
         nonzero[0] += shom > 0
         nonzero[1] += dim > 0
     assert all(nonzero)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_wrong_differential_sign_trips_the_square_check(p, monkeypatch):
+    """With s = -1 in every degree, d^k d^(k-1) h = -2 d_y h d_x: zero over
+    F_2 (the signs vanish), nonzero over F_3 on cones, where some
+    d_y h d_x is an identity: h of degree -1 on (K, K) for H^0, h of
+    degree 0 on (K, K[-1]) for H^1."""
+    cat = a1_bounded(p)
+    K, K1 = cat.contractible_gen(1, 0), cat.contractible_gen(1, 1)
+    # cones are contractible: their cocycles are all coboundaries
+    assert cx._HomComplex(K, K).dim(0) == 0
+    assert cx._HomComplex(K, K1).ext1()[2] == []
+    monkeypatch.setattr(cx, "_sign", lambda k: -1)
+    if p == 2:
+        assert cx._HomComplex(K, K).dim(0) == 0
+        assert cx._HomComplex(K, K1).ext1()[2] == []
+        return
+    with pytest.raises(cx.HomComplexError, match=r"d\^0 d\^-1 != 0"):
+        cx._HomComplex(K, K).dim(0)
+    with pytest.raises(cx.HomComplexError, match="coboundaries escaped"):
+        cx._HomComplex(K, K1).ext1()
+
+
+def test_hom_complex_is_shared_by_consecutive_calls_on_one_pair(monkeypatch):
+    cat = a2_bounded()
+    a, c = cat.stalk(1, 0), cat.contractible_gen(1, 0)
+    built = []
+    real = cx._map_space
+
+    def counted(x, y, k):
+        built.append(k)
+        return real(x, y, k)
+
+    monkeypatch.setattr(cx, "_map_space", counted)
+    ext1_classes(a, c)
+    stable_hom_dim(a, c)
+    hom_dim_cx(a, c)
+    cx._hom_complex(a, c).dim(-1)
+    assert sorted(built) == sorted(set(built))  # one layout per degree
+    stable_hom_dim(c, a)  # another pair takes the slot
+    assert cat._hom_slot.x is c

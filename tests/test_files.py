@@ -507,3 +507,54 @@ def test_report_shape_and_body():
     assert "wall_time" not in body and rep["wall_time"] == 0.25
     rep2 = make_report("associativity", spec, 10, [{"check": "x"}], 0.1)
     assert rep2["status"] == "fail"
+
+
+def _json_indented(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class _Count(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+        {"text": "héllo wörld ∑ 🜁", "esc": 'quote " slash \\ tab \t nl \n \x00 \x1f \x7f'},
+        {"é": 1, "Z": 2, "a": 3, "": 4, "ab": 5, "a b": 6},
+        {"nested": [[1, [2, [3, []]]], [[{"k": [True, False, None]}]]], "t": (1, (2, 3))},
+        {"n": [0, -1, 2**70, -(2**70)], "f": [0.0, -0.0, 1.5, 1e300, 2.5e-8, 0.1]},
+        {"int subclass": _Count(7), "str subclass": _Name("x"), _Name("key"): True},
+    ],
+)
+def test_dump_doc_matches_json_dumps(doc):
+    assert dump_doc(doc) == _json_indented(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {2: "int key", 1: "int key"},
+        {None: 1},
+        {"v": {2.5: "float key"}},
+        {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+        [{"deep": {True: False}}],
+    ],
+)
+def test_dump_doc_falls_back_to_json_dumps(doc):
+    assert dump_doc(doc) == _json_indented(doc)
+
+
+def test_dump_doc_raises_like_json_dumps_on_unknown_types():
+    for doc in ({"c": Fraction(1, 2)}, {"s": {1, 2}}, [object()]):
+        with pytest.raises(TypeError):
+            _json_indented(doc)
+        with pytest.raises(TypeError):
+            dump_doc(doc)
