@@ -462,21 +462,8 @@ def _merged_diff(cat, first, second, first1, second1, tl, tr, br) -> tuple[Matri
 
 
 def direct_sum_cx(x: Complex, y: Complex) -> Complex:
-    """Degreewise direct sum, x block first, re-sorted to canonical copies."""
-    cat = x.cat
-    comps = {}
-    for n in set(x.comps) | set(y.comps):
-        comps[n] = tuple(a + b for a, b in zip(x.mults(n), y.mults(n)))
-    diffs = {}
-    for n in comps:
-        n1 = cat.next_deg(n)
-        if n1 is None or n1 not in comps:
-            continue
-        zero_tr = cat.zero_maps(y.mults(n), x.mults(n1))
-        diffs[n] = _merged_diff(
-            cat, x.mults(n), y.mults(n), x.mults(n1), y.mults(n1), x.diff(n), zero_tr, y.diff(n)
-        )
-    return Complex(cat, comps, diffs)
+    """Degreewise direct sum, x block first: the split extension of y by x."""
+    return middle_term_cx(y, x, {})
 
 
 def shift(x: Complex, k: int) -> Complex:
@@ -638,42 +625,26 @@ def _sign(k: int) -> int:
     return 1 if k % 2 == 1 else -1
 
 
-def _chain_constraint_matrix(x: Complex, y: Complex, k: int, space: _MapSpace) -> np.ndarray:
-    """Raw columns of d_y f + s f d_x, s = +1 for odd k and -1 for even k,
-    for each hom-basis variable f of space; rows are the raw coordinates of
-    the constraint targets, maps x_n -> y_{n+k+1}."""
-    tgt_space = _map_space(x, y, k + 1)
-    return _differential_terms(x, y, k, space, tgt_space, 1, _sign(k))
-
-
-def _chain_constraint_kernel(x: Complex, y: Complex, k: int, space: _MapSpace):
-    """Coefficient vectors of degree-k maps with d_y f + s f d_x = 0."""
-    if space.nvars == 0:
-        return []
-    mat = _chain_constraint_matrix(x, y, k, space)
-    if mat.shape[0] == 0:
-        return [v for v in np.eye(space.nvars, dtype=np.int64)]
-    return kernel_basis(Matrix(x.cat.field, mat))
-
-
-def _coeffs_to_components(x: Complex, y: Complex, space: _MapSpace, coeffs: np.ndarray) -> dict:
-    """The degree-0 map x -> y with these hom-basis coefficients, as
-    degree -> vertex matrices (degrees where it vanishes left out)."""
-    field = x.cat.field
+def _components(space: _MapSpace, vec: np.ndarray, field: Field) -> dict:
+    """The map with raw coordinates vec in space, as degree -> vertex
+    matrices (degrees where it vanishes left out)."""
     out = {}
     for n in space.degrees:
-        cfs = coeffs[space.columns(n)]
-        mats = tuple(Matrix(field, np.tensordot(cfs, s, axes=1)) for s in space.stacks[n])
+        mats = _unvec(field, vec, space.raw_offsets[n], space.shapes[n])
         if any(not m.is_zero() for m in mats):
             out[n] = mats
     return out
 
 
 def hom_chain_basis(x: Complex, y: Complex) -> list[dict]:
-    """Basis of chain maps x -> y, each a dict degree -> vertex matrices."""
-    space = _map_space(x, y, 0)
-    ker = _chain_constraint_kernel(x, y, 0, space)
-    return [_coeffs_to_components(x, y, space, v) for v in ker]
+    """Basis of chain maps x -> y (the cocycles Z^0 of the Hom complex),
+    each a dict degree -> vertex matrices."""
+    hc = _hom_complex(x, y)
+    space, ker = hc.space(0), hc.cycles(0)
+    if not ker:
+        return []
+    zcols = _cocycle_columns(space, ker, hc.field.p)
+    return [_components(space, z, hc.field) for z in zcols.T]
 
 
 def hom_dim_cx(x: Complex, y: Complex) -> int:
@@ -683,14 +654,6 @@ def hom_dim_cx(x: Complex, y: Complex) -> int:
 
 def hom_card(x: Complex, y: Complex) -> int:
     return x.cat.field.p ** hom_dim_cx(x, y)
-
-
-def _homotopy_image_columns(x: Complex, y: Complex, k: int, space: _MapSpace) -> np.ndarray:
-    """Raw-coordinate columns spanning the degenerate degree-k maps:
-    k = 0: f = d_y h + h d_x (h of degree -1),
-    k = 1: f = h d_x - d_y h (h of degree 0)."""
-    hspace = _map_space(x, y, k - 1)
-    return _differential_terms(x, y, k - 1, hspace, space, 1 if k == 0 else -1, 1)
 
 
 def _cocycle_columns(space: _MapSpace, ker, p: int) -> np.ndarray:
@@ -710,11 +673,11 @@ class _HomComplex:
     """The Hom complex Hom^k(x, y) = prod_n Hom(x_n, y_{n+k}) with
     differential d^k f = d_y f + s f d_x (s from `_sign`).
 
-    Z^0 is the chain maps and H^0 stable Hom; H^-i is stable
-    Hom(x, y[-i]) and H^1 is Ext^1 (the images of d^-1 and d^0 are the
-    null-homotopic maps and, up to sign, the cocycle coboundaries).  Each
-    degree's layout, differential and rank is built at most once, and
-    dim H^k = dim Hom^k - rank d^k - rank d^(k-1).
+    Z^k = ker d^k (`cycles`); Z^0 is the chain maps and H^0 stable Hom;
+    H^-i is stable Hom(x, y[-i]) and H^1 is Ext^1 (the images of d^-1 and
+    d^0 are the null-homotopic maps and, up to sign, the cocycle
+    coboundaries).  Each degree's layout, differential and rank is built at
+    most once, and dim H^k = dim Hom^k - rank d^k - rank d^(k-1).
     """
 
     def __init__(self, x: Complex, y: Complex):
@@ -752,6 +715,14 @@ class _HomComplex:
             self._ranks[k] = hit
         return hit
 
+    def cycles(self, k: int) -> list[np.ndarray]:
+        """A basis of Z^k as hom-basis coefficient vectors, in
+        `kernel_basis` order; records rank d^k."""
+        nvars = self.space(k).nvars
+        ker = kernel_basis(Matrix(self.field, self.differential(k))) if nvars else []
+        self._ranks[k] = nvars - len(ker)
+        return ker
+
     def cycles_dim(self, k: int) -> int:
         """dim Z^k = dim Hom^k - rank d^k."""
         return self.space(k).nvars - self.rank_d(k)
@@ -776,10 +747,7 @@ class _HomComplex:
         """
         field = self.field
         space = self.space(1)
-        if not space.nvars:
-            return None
-        ker = kernel_basis(Matrix(field, self.differential(1)))
-        self._ranks[1] = space.nvars - len(ker)
+        ker = self.cycles(1)
         if not ker:
             return None
         zcols = _cocycle_columns(space, ker, field.p)
@@ -848,12 +816,7 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
         for cf, j in zip(coeffs, compl):
             if cf:
                 vec = (vec + cf * zcols[:, j]) % p
-        comp = {}
-        for n in space.degrees:
-            mats = _unvec(field, vec, space.raw_offsets[n], space.shapes[n])
-            if any(not m.is_zero() for m in mats):
-                comp[n] = mats
-        reps.append(comp)
+        reps.append(_components(space, vec, field))
     return CxExt1(dim, reps)
 
 
@@ -875,20 +838,6 @@ def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
             cat, c.mults(n), a.mults(n), c.mults(n1), a.mults(n1), c.diff(n), fa, a.diff(n)
         )
     return Complex(cat, comps, diffs)
-
-
-def extp_card(x: Complex, y: Complex, pdeg: int) -> int:
-    """|Ext^p| via the shift: stable maps from x[-p] to y (p >= 1)."""
-    if pdeg < 1:
-        raise ValueError("extp_card needs p >= 1")
-    cat = x.cat
-    if cat.kind == "bounded":
-        # vanishes once the shifted support clears the target support
-        if not x.comps or not y.comps:
-            return 1
-        if min(x.support) + pdeg > max(y.support):
-            return 1
-    return stable_hom_card(shift(x, -pdeg), y)
 
 
 def _proj_hom_dim(cat: ComplexCategory, src, tgt) -> int:
@@ -922,10 +871,10 @@ def is_contractible(x: Complex) -> bool:
     """Solve d h + h d = id directly (independent of the stripping route)."""
     if x.is_zero():
         return True
-    cat = x.cat
-    field = cat.field
-    space = _map_space(x, x, 0)
-    cols = _homotopy_image_columns(x, x, 0, space)
+    field = x.cat.field
+    hc = _HomComplex(x, x)
+    space = hc.space(0)
+    cols = hc.differential(-1)
     target = np.zeros(space.raw_dim, dtype=np.int64)
     for n in x.comps:
         ident = tuple(Matrix.identity(field, d) for d in x.rep(n).dims)
@@ -1184,7 +1133,8 @@ def iso_test_cx(x: Complex, y: Complex, caps: Caps = DEFAULT_CAPS) -> bool:
         return False
     if x.encoding() == y.encoding():
         return True
-    if hom_dim_cx(x, x) != hom_dim_cx(y, y) or hom_dim_cx(x, y) != hom_dim_cx(x, x):
+    end_dim = hom_dim_cx(x, x)
+    if end_dim != hom_dim_cx(y, y) or hom_dim_cx(x, y) != end_dim:
         return False
     mx, ex = strip_contractibles(x)
     my, ey = strip_contractibles(y)

@@ -20,10 +20,7 @@ from hallforge.errors import EnumCapExceeded, SpecError, WindowOverflow
 from hallforge.linalg import Field, Matrix, kernel_basis, rank, rref
 from hallforge.quiver import Quiver, Registry, hom_basis
 from hallforge.complexes import (
-    _chain_constraint_kernel,
     _cocycle_columns,
-    _chain_constraint_matrix,
-    _homotopy_image_columns,
     _map_space,
     _merged_diff,
     _raw_vector,
@@ -35,7 +32,6 @@ from hallforge.complexes import (
     direct_sum_cx,
     enumerate_complexes,
     ext1_classes,
-    extp_card,
     euler_exponent_cx,
     find_chain_iso,
     hom_card,
@@ -775,13 +771,15 @@ def test_euler_undefined_on_periodic():
         euler_exponent_cx(cat.stalk(1, 0), cat.stalk(1, 1))
 
 
-def test_extp_card_via_shift():
+def test_ext_cards_are_hom_complex_cohomology():
     cat = a1_bounded(lo=0, hi=2)
+    p = cat.field.p
     S0, S1 = cat.stalk(1, 0), cat.stalk(1, 1)
     # ext^1(S0, S1) is one-dimensional: the cone conflation
-    assert extp_card(S0, S1, 1) == 2
-    assert extp_card(S1, S0, 1) == 1
-    assert extp_card(S0, S1, 2) == 1
+    assert p ** cx._HomComplex(S0, S1).dim(1) == 2
+    assert stable_hom_card(shift(S0, -1), S1) == 2
+    assert p ** cx._HomComplex(S1, S0).dim(1) == 1
+    assert p ** cx._HomComplex(S0, S1).dim(2) == 1
 
 
 def test_iso_and_stable_iso():
@@ -1213,20 +1211,79 @@ def _reference_homotopy_columns(x, y, k, space):
     return np.zeros((space.raw_dim, 0), dtype=np.int64)
 
 
+def _reference_chain_basis(x, y):
+    """The chain-map basis as built from hom-basis coefficients: each kernel
+    vector of the reference constraint combines the basis stacks degree by
+    degree (degrees where the map vanishes left out)."""
+    field = x.cat.field
+    space = _map_space(x, y, 0)
+    out = []
+    for coeffs in _reference_constraint(x, y, 0, space)[1]:
+        comp = {}
+        for n in space.degrees:
+            cfs = coeffs[space.columns(n)]
+            mats = tuple(Matrix(field, np.tensordot(cfs, s, axes=1)) for s in space.stacks[n])
+            if any(not m.is_zero() for m in mats):
+                comp[n] = mats
+        out.append(comp)
+    return out
+
+
+def _ordered_entries(maps):
+    """Each map's (degree, vertex entries) pairs in its own degree order."""
+    return [[(n, tuple(m.entries() for m in mats)) for n, mats in f.items()] for f in maps]
+
+
 @pytest.mark.parametrize("p", [2, 3])  # the signs only show at p = 3
 @pytest.mark.parametrize("grid", ["a2-bounded-total2", "a1-periodic-cap2"])
 def test_stacked_kernels_match_per_element_reference(grid, p):
     reg = _kernel_grid(grid, p)
     objs = [reg.object(i) for i in range(len(reg))]
+    nonzero = 0
     for x, y in itertools.product(objs, repeat=2):
+        # the chain-map basis, entry for entry and in order: it decides
+        # find_chain_iso's candidates and decompose_cx's summands
+        basis = cx.hom_chain_basis(x, y)
+        assert _ordered_entries(basis) == _ordered_entries(_reference_chain_basis(x, y))
+        nonzero += len(basis) > 0
+        hc = cx._HomComplex(x, y)
         for k in (0, 1):
-            space = _map_space(x, y, k)
+            space = hc.space(k)
             ref_mat, ref_ker = _reference_constraint(x, y, k, space)
-            assert np.array_equal(_chain_constraint_matrix(x, y, k, space), ref_mat)
-            ker = _chain_constraint_kernel(x, y, k, space)
+            assert np.array_equal(hc.differential(k), ref_mat)
+            ker = hc.cycles(k)
             assert [v.tolist() for v in ker] == [v.tolist() for v in ref_ker]
-            got = _homotopy_image_columns(x, y, k, space)
+            # the degenerate maps: d^-1 for k = 0, the coboundaries -d^0 for k = 1
+            got = hc.differential(-1) if k == 0 else -hc.differential(0) % p
             assert np.array_equal(got, _reference_homotopy_columns(x, y, k, space))
+    assert nonzero
+
+
+def _reference_direct_sum(x, y):
+    """The degreewise sum assembled block by block, x first."""
+    cat = x.cat
+    comps = {}
+    for n in set(x.comps) | set(y.comps):
+        comps[n] = tuple(a + b for a, b in zip(x.mults(n), y.mults(n)))
+    diffs = {}
+    for n in comps:
+        n1 = cat.next_deg(n)
+        if n1 is None or n1 not in comps:
+            continue
+        zero_tr = cat.zero_maps(y.mults(n), x.mults(n1))
+        diffs[n] = _merged_diff(
+            cat, x.mults(n), y.mults(n), x.mults(n1), y.mults(n1), x.diff(n), zero_tr, y.diff(n)
+        )
+    return Complex(cat, comps, diffs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("grid", ["a2-bounded-total2", "a1-periodic-cap2"])
+def test_direct_sum_matches_blockwise_reference(grid, p):
+    reg = _kernel_grid(grid, p)
+    objs = [reg.object(i) for i in range(len(reg))]
+    for x, y in itertools.product(objs, repeat=2):
+        assert direct_sum_cx(x, y).encoding() == _reference_direct_sum(x, y).encoding()
 
 
 # ---- the profile-and-rank registry key, and the chain-iso search order ----
@@ -1378,12 +1435,12 @@ def _reference_cocycles(x, y, k):
     coboundaries), each rank taken on its own as before H^0 and H^1 shared
     one row reduction."""
     space = _map_space(x, y, k)
-    ker = _chain_constraint_kernel(x, y, k, space)
+    ker = _reference_constraint(x, y, k, space)[1]
     if not ker:
         return space, ker, None, None, 0
     field = x.cat.field
     zcols = _cocycle_columns(space, ker, field.p)
-    bcols = _homotopy_image_columns(x, y, k, space)
+    bcols = _reference_homotopy_columns(x, y, k, space)
     bdim = rank(Matrix(field, bcols)) if bcols.shape[1] else 0
     return space, ker, zcols, bcols, bdim
 
@@ -1460,7 +1517,7 @@ def test_cohomology_matches_two_rank_reference(grid):
         # every degree read off one Hom complex, against the shifted routes
         hc = cx._HomComplex(a, c)
         assert hom_dim_cx(a, c) == hc.cycles_dim(0)
-        assert hc.cycles_dim(0) == len(_chain_constraint_kernel(a, c, 0, _map_space(a, c, 0)))
+        assert hc.cycles_dim(0) == len(_reference_constraint(a, c, 0, _map_space(a, c, 0))[1])
         if cat.kind == "bounded":
             for i in range(1, cat.hi - cat.lo + 2):
                 neg = hc.dim(-i)
@@ -1515,3 +1572,45 @@ def test_hom_complex_is_shared_by_consecutive_calls_on_one_pair(monkeypatch):
     assert sorted(built) == sorted(set(built))  # one layout per degree
     stable_hom_dim(c, a)  # another pair takes the slot
     assert cat._hom_slot.x is c
+
+
+def test_iso_prefilter_builds_at_most_three_hom_complexes(monkeypatch):
+    """The prefilter of iso_test_cx reads dim End(x), dim End(y) and
+    dim Hom(x, y), each from one Hom complex; counted up to the stripping
+    step, on pairs that pass the encoding and multiplicity checks."""
+    cat = a2_bounded(3)
+    objs = list(enumerate_complexes(cat, max_total_dim=3).objs)
+    K = cat.contractible_gen(1, 0)
+    K2 = Complex(cat, K.comps, {0: tuple(-m for m in K.diffs[0])})  # isomorphic, new encoding
+    pairs = [(K, K2)] + [
+        (x, y)
+        for x, y in itertools.permutations(objs, 2)
+        if x.comps == y.comps and x.encoding() != y.encoding()
+    ]
+    assert len(pairs) > 1
+    built = []
+    seen = []
+    real_init, real_strip = cx._HomComplex.__init__, cx.strip_contractibles
+
+    def counted_init(self, x, y):
+        built.append((x, y))
+        real_init(self, x, y)
+
+    def recorded_strip(x):
+        seen.append(len(built))
+        return real_strip(x)
+
+    monkeypatch.setattr(cx._HomComplex, "__init__", counted_init)
+    monkeypatch.setattr(cx, "strip_contractibles", recorded_strip)
+    stripped = 0
+    for x, y in pairs:
+        cat._hom_slot = None
+        built.clear()
+        seen.clear()
+        same = iso_test_cx(x, y)
+        prefilter = seen[0] if seen else len(built)
+        assert prefilter <= 3
+        stripped += bool(seen)
+        if (x, y) == (K, K2):
+            assert same and seen == [3, 3]
+    assert stripped
