@@ -457,7 +457,7 @@ def _merged_diff(cat, first, second, first1, second1, tl, tr, br) -> tuple[Matri
         block[:r1, :c1] = tl[v].a
         block[:r1, c1:] = tr[v].a
         block[r1:, c1:] = br[v].a
-        out.append(Matrix(cat.field, block[np.ix_(rows[v], cols[v])]))
+        out.append(Matrix(cat.field, block[rows[v][:, None], cols[v]]))
     return tuple(out)
 
 
@@ -762,9 +762,9 @@ class _HomComplex:
 
 def _hom_complex(x: Complex, y: Complex) -> _HomComplex:
     """The Hom complex of (x, y), kept in a one-entry slot on the category
-    so that consecutive calls on one pair share it (`SDH._dh_pair` asks for
-    Ext^1, H^0 and the H^-i in a row; `CxBackend.raw_ext_data` for Ext^1
-    and then Z^0)."""
+    so that consecutive calls on one pair share it (`CxBackend.raw_ext_data`
+    asks for Ext^1 and then Z^0, or for the derived product's records, on a
+    pair-cache miss only, Ext^1, H^0 and the H^-i)."""
     cat = x.cat
     hc = cat._hom_slot
     if hc is None or hc.x is not x or hc.y is not y:

@@ -7,11 +7,15 @@ in Q (plain product) or in Q adjoined a square root v of q (twisted
 product, which scales each pairwise product by v^{e(A, C)} with e the
 Euler exponent of the pair).
 
-Backends present a uniform interface over the two object kinds:
+Backends present a uniform interface over the object kinds:
 representations of an acyclic quiver, and complexes of projectives.  Both
 count with plain Hom cardinalities and classify objects up to (strict)
-isomorphism; structure constants are cached by content, keyed on canonical
-object encodings, so cached and fresh runs produce identical output.
+isomorphism.  A third backend, of minimal complexes up to isomorphism
+(stable classes), serves the derived product of `sdh`: it counts with
+stable Hom cardinalities and strips the middles' contractible summands.
+Structure constants are cached by content, keyed on the backend's signature
+and canonical object encodings, so cached and fresh runs produce identical
+output.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import EulerUndefined, SpecError
+from .errors import EulerUndefined, SpecError, WindowOverflow
 from . import complexes as cx
 from .linalg import Field, Matrix
 from .quiver import (
@@ -47,8 +51,8 @@ class SqrtExt:
 
     def __init__(self, q: int, a, b=0):
         self.q = int(q)
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     def _coerce(self, other) -> "SqrtExt":
         if isinstance(other, SqrtExt):
@@ -138,7 +142,7 @@ def _as_triple(c, q: int) -> tuple[int, int, int]:
         a, b = c.a, c.b
         d = lcm(a.denominator, b.denominator)
         return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-    f = Fraction(c)
+    f = c if type(c) is Fraction else Fraction(c)
     return f.numerator, 0, f.denominator
 
 
@@ -150,26 +154,44 @@ def _matrix_of_rows(field: Field, rows, r: int, c: int) -> Matrix:
     return Matrix(field, np.array(rows, dtype=np.int64).reshape(r, c))
 
 
-def _group_middles(encs, decode, registry: Registry) -> list[tuple[tuple, int]]:
-    """[(witness encoding, class count)] for a list of middle encodings.
+def _group_middles(encs, decode, registry: Registry) -> list[tuple[object, int]]:
+    """[(witness, class count)] for a list of middle encodings.
 
-    Encodings are classified by `registry` in sorted order, so each class's
-    witness is its smallest encoding and the output is in first-witness
-    order.
+    Encodings are classified by a fresh `registry` in sorted order, so each
+    class's witness, the object that opened it, has its smallest encoding
+    and the output is in first-witness order.
     """
     counts: dict[tuple, int] = {}
     for enc in encs:
         counts[enc] = counts.get(enc, 0) + 1
     grouped: dict[int, int] = {}
-    witness: dict[int, tuple] = {}
     for enc, n in sorted(counts.items()):
         i = registry.classify(decode(enc))
         grouped[i] = grouped.get(i, 0) + n
-        witness.setdefault(i, enc)
-    return [(witness[i], grouped[i]) for i in sorted(witness)]
+    return [(registry.object(i), grouped[i]) for i in sorted(grouped)]
 
 
-class RepBackend:
+class _Backend:
+    """What HallAlgebra's pair cache asks of every backend beyond its public
+    methods: the record fields after hom, and the check of a cached witness."""
+
+    # record fields after "hom", in the order raw_ext_data returns them
+    record_fields: tuple[str, ...] = ()
+
+    def _witness(self, enc, head: tuple):
+        """The object a cached middle encoding names, or None unless the
+        encoding starts with `head`, decodes and encodes back unchanged (so
+        every entry lies in [0, q)).  For complexes d d = 0 is not checked."""
+        if not (isinstance(enc, tuple) and enc[:1] == (head,)):
+            return None
+        try:
+            obj = self.decode(enc)
+        except (ValueError, TypeError, IndexError, KeyError, OverflowError):
+            return None
+        return obj if self.encode(obj) == enc else None
+
+
+class RepBackend(_Backend):
     """Quiver representations up to isomorphism."""
 
     kind = "reps"
@@ -204,7 +226,7 @@ class RepBackend:
         return self.classify(Rep.zero(self.quiver, self.field))
 
     def raw_ext_data(self, a: Rep, c: Rep):
-        """(hom cardinality, [(middle encoding, class count)])."""
+        """(hom cardinality, [(middle, class count)]), one witness per class."""
         ext = ext1_space(a, c, self.caps)
         encs = [middle_term(a, c, f).encoding() for f in ext.reps]
         # rep_registry's twin, built here so its iso tests run through this
@@ -220,7 +242,7 @@ class RepBackend:
         return tuple(x + y for x, y in zip(a.dims, c.dims))
 
 
-class CxBackend:
+class CxBackend(_Backend):
     """Complexes of projectives up to (strict) isomorphism: the exact
     category whose conflations are the degreewise-split short exact
     sequences."""
@@ -232,7 +254,10 @@ class CxBackend:
         self.quiver = cat.quiver
         self.field = cat.field
         self.caps = caps
-        self.registry = cx.cx_registry(cat, caps)
+        self.registry = self._registry()
+
+    def _registry(self) -> Registry:
+        return cx.cx_registry(self.cat, self.caps)
 
     def signature(self) -> tuple:
         return self.cat.signature()
@@ -246,7 +271,7 @@ class CxBackend:
     def encode(self, obj: cx.Complex) -> tuple:
         return obj.encoding()
 
-    def decode(self, enc) -> cx.Complex:
+    def decode(self, enc, validate: bool = False) -> cx.Complex:
         comps_part, diffs_part = enc
         comps = {n: tuple(m) for n, m in comps_part}
         diffs = {}
@@ -257,16 +282,28 @@ class CxBackend:
                 _matrix_of_rows(self.field, rows, t, s)
                 for s, t, rows in zip(src, tgt, vmats, strict=True)
             )
-        return cx.Complex(self.cat, comps, diffs, validate=False)
+        return cx.Complex(self.cat, comps, diffs, validate=validate)
 
     def zero_id(self) -> int:
         return self.classify(self.cat.zero_complex())
 
     def raw_ext_data(self, a: cx.Complex, c: cx.Complex):
+        """(hom cardinality, [(middle, count)], *record_fields) of a pair."""
         ext = cx.ext1_classes(a, c, self.caps)
-        encs = [cx.middle_term_cx(a, c, f).encoding() for f in ext.reps]
-        reg = cx.cx_registry(self.cat, self.caps)
-        return cx.hom_card(a, c), _group_middles(encs, self.decode, reg)
+        # read off the Hom complex ext1_classes built, before the iso tests
+        # of grouping replace it
+        hom, *fields = self._pair_numbers(a, c)
+        mids = [cx.middle_term_cx(a, c, f) for f in ext.reps]
+        return (hom, self._group(mids), *fields)
+
+    def _pair_numbers(self, a: cx.Complex, c: cx.Complex) -> tuple:
+        """(hom, *record_fields) of a pair, off its Hom complex."""
+        return (cx.hom_card(a, c),)
+
+    def _group(self, mids: list) -> list[tuple[cx.Complex, int]]:
+        """One witness per strict class, counted."""
+        encs = [m.encoding() for m in mids]
+        return _group_middles(encs, self.decode, self._registry())
 
     def euler_exp(self, a: cx.Complex, c: cx.Complex) -> int:
         return cx.euler_exponent_cx(a, c)  # raises EulerUndefined when periodic
@@ -278,6 +315,78 @@ class CxBackend:
             (n, tuple(x + y for x, y in zip(a.mults(n), c.mults(n))))
             for n in sorted(set(a.comps) | set(c.comps))
         )
+
+
+class StableBackend(CxBackend):
+    """Minimal complexes up to isomorphism, i.e. stable classes: the
+    derived Hall product's backend.
+
+    A pair's record holds |stable Hom(a, c)| as its hom, the negative-Ext
+    exponent sum_{i=1}^{w+1} (-1)^(i+1) dim H^-i of the Hom complex (w the
+    window width) and, for each distinct encoding of a stripped middle, the
+    number of Ext^1 classes that give it, in enumeration order.  Classifying
+    these witnesses in that order grows the registry exactly as classifying
+    every stripped middle would.
+    """
+
+    record_fields = ("neg_ext",)
+
+    def _registry(self) -> Registry:
+        return cx.stable_registry(self.cat, self.caps)
+
+    def signature(self) -> tuple:
+        return ("stable", *self.cat.signature())
+
+    def _pair_numbers(self, a: cx.Complex, c: cx.Complex) -> tuple:
+        """(|stable Hom(a, c)|, neg_ext): H^0 and the H^-i, stable
+        Hom(a, c[-i]), of the pair's Hom complex."""
+        hc = cx._hom_complex(a, c)
+        width = self.cat.hi - self.cat.lo
+        neg_ext = sum((-1) ** (i + 1) * hc.dim(-i) for i in range(1, width + 2))
+        return cx.stable_hom_card(a, c), neg_ext
+
+    def _group(self, mids: list) -> list[tuple[cx.Complex, int]]:
+        """One entry per distinct encoding of a stripped middle, at its first
+        occurrence; classes are left to the registry."""
+        groups: dict[tuple, list] = {}
+        for mid in mids:
+            m, _ = cx.strip_contractibles(mid)
+            hit = groups.setdefault(m.encoding(), [m, 0])
+            hit[1] += 1
+        return [(m, n) for m, n in groups.values()]
+
+    def _alternating_class(self, comps: dict) -> tuple[int, ...]:
+        """sum_n (-1)^n comps[n]: a cone P_i in degrees n, n + 1 adds nothing."""
+        out = [0] * self.quiver.n
+        for n, mults in comps.items():
+            sign = -1 if n % 2 else 1
+            for v, m in enumerate(mults):
+                out[v] += sign * m
+        return tuple(out)
+
+    def _middle_head(self, a: cx.Complex, c: cx.Complex) -> tuple:
+        """What every stripped middle of (a, c) shares: the alternating class
+        of a (+) c, and multiplicities at most those of a (+) c, degree by
+        degree (stripping only removes summands)."""
+        bound = dict(super()._middle_head(a, c))
+        return self._alternating_class(bound), bound
+
+    def _witness(self, enc, head: tuple):
+        """The minimal complex a cached encoding names, validated (d d = 0),
+        or None unless it fits `head` and encodes back unchanged.  The
+        multiplicities are checked first, so no oversized object is built."""
+        alt, bound = head
+        try:
+            for n, mults in enc[0]:
+                if not all(0 <= m <= b for m, b in zip(mults, bound[n], strict=True)):
+                    return None
+            obj = self.decode(enc, validate=True)
+        except (ValueError, TypeError, IndexError, KeyError, OverflowError,
+                SpecError, WindowOverflow):
+            return None
+        if obj.encoding() != enc or self._alternating_class(obj.comps) != alt:
+            return None
+        return obj if cx.is_minimal(obj) else None
 
 
 # ---- content-addressed structure-constant cache ----
@@ -306,10 +415,8 @@ def _is_power(x, q: int) -> bool:
 
 
 def pair_key(signature: tuple, enc_a, enc_c) -> str:
-    blob = json.dumps(
-        [_enc_to_json(signature), _enc_to_json(enc_a), _enc_to_json(enc_c)],
-        separators=(",", ":"),
-    )
+    # json.dumps writes tuples as lists: the canonical JSON form
+    blob = json.dumps([signature, enc_a, enc_c], separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -377,11 +484,14 @@ class HallAlgebra:
     # -- structure constants --
 
     def ext_data(self, a_id: int, c_id: int):
-        """(hom cardinality, [(middle id, class count)]), cache-backed.
+        """(hom cardinality, [(middle id, class count)], *record fields),
+        cache-backed; the backend names any record fields after hom.
 
-        Every call looks its pair up in the cache once; a record's middles
-        are decoded and classified only the first time its key is seen, and
-        a record that fails _resolve is recomputed as if it were missing.
+        Every call looks its pair up in the cache once.  The first time a
+        key is seen, a record's middles are checked and classified; a record
+        that fails _resolve is recomputed as if it were missing, and a
+        recomputed record's middles are classified as raw_ext_data built
+        them.  A backend may list one class more than once.
         """
         bk = self.backend
         key = self._pair_keys.get((a_id, c_id))
@@ -392,52 +502,51 @@ class HallAlgebra:
         resolved = self._resolved.get(key)
         if resolved is None:
             a, c = bk.object(a_id), bk.object(c_id)
-            head = bk._middle_head(a, c)
-            resolved = None if rec is None else self._resolve(rec, head)
-            if resolved is None:
+            pair = None if rec is None else self._resolve(rec, bk._middle_head(a, c))
+            if pair is None:
                 # missing or malformed: recompute; a malformed line stays on
                 # disk, as a torn one does, and this run uses the fresh record
-                hom, middles = bk.raw_ext_data(a, c)
-                rec = {
+                pair = bk.raw_ext_data(a, c)
+                hom, middles, *fields = pair
+                self.cache.put(key, {
                     "hom": hom,
-                    "middles": [[_enc_to_json(enc), n] for enc, n in middles],
-                }
-                self.cache.put(key, rec)
-                resolved = self._resolve(rec, head)
+                    **dict(zip(bk.record_fields, fields)),
+                    "middles": [[_enc_to_json(bk.encode(obj)), n] for obj, n in middles],
+                })
+            hom, middles, *fields = pair
+            resolved = (hom, [(bk.classify(obj), n) for obj, n in middles], *fields)
             self._resolved[key] = resolved
-        return resolved[0], list(resolved[1])
+        return (resolved[0], list(resolved[1]), *resolved[2:])
 
     def _resolve(self, rec, head: tuple) -> tuple | None:
-        """(hom, [(middle id, count)]) of a pair record, or None unless hom
-        and the sum of the counts are powers of q and every middle is
-        [encoding, count >= 1] with an encoding that starts with `head` (the
-        dims or multiplicities every middle of the pair has), decodes to an
-        object of the category and encodes back unchanged (so every entry
-        lies in [0, q)).  For complexes d d = 0 is not checked.  Nothing is
-        classified until the whole record passes.
+        """(hom, [(middle, count)], *record fields) of a pair record, or
+        None unless hom and the sum of the counts are powers of q, every
+        record field is an int, and every middle is [encoding, count >= 1]
+        whose encoding the backend's _witness accepts against `head` (what
+        every middle of the pair shares).  Nothing is classified here.
         """
         bk = self.backend
         if not isinstance(rec, dict) or not isinstance(rec.get("middles"), list):
             return None
         if not _is_power(rec.get("hom"), self.q):
             return None
+        fields = [rec.get(f) for f in bk.record_fields]
+        if any(type(x) is not int for x in fields):
+            return None
         objs = []
         for item in rec["middles"]:
             if not (isinstance(item, list) and len(item) == 2):
                 return None
-            enc, n = _json_to_enc(item[0]), item[1]
-            if type(n) is not int or n < 1 or not (isinstance(enc, tuple) and enc[:1] == (head,)):
+            n = item[1]
+            if type(n) is not int or n < 1:
                 return None
-            try:
-                obj = bk.decode(enc)
-            except (ValueError, TypeError, IndexError, KeyError, OverflowError):
-                return None
-            if bk.encode(obj) != enc:
+            obj = bk._witness(_json_to_enc(item[0]), head)
+            if obj is None:
                 return None
             objs.append((obj, n))
         if not _is_power(sum(n for _, n in objs), self.q):  # |Ext^1|
             return None
-        return rec["hom"], [(bk.classify(obj), n) for obj, n in objs]
+        return (rec["hom"], objs, *fields)
 
     # -- products --
 

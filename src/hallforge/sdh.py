@@ -24,10 +24,11 @@ a basis key (gamma, m) pairs through the class of K_gamma ⊕ m, gamma of any
 sign.  The Euler form sum_p (-1)^p dim H^p is sum_{m,n} (-1)^(n-m)
 dim Hom(x_m, y_n) (`complexes.euler_exponent_cx`).  The cones are
 projective-injective: a chain map K(i, n) -> x is any map P_i -> x_n, and
-x -> K(i, n) is any map x_{n+1} -> P_i.  `_dh_pair` reads H^-i, H^0 and
-H^1 of one Hom complex, dim H^k = dim Hom^k - rank d^k - rank d^(k-1): that
-is still the literal route, which the `toen` suite compares with the
-closed forms.
+x -> K(i, n) is any map x_{n+1} -> P_i.  On a pair-cache miss `_dh_pair`
+reads H^-i, H^0 and H^1 of one Hom complex, dim H^k = dim Hom^k - rank d^k
+- rank d^(k-1): that is still the literal route, which the `toen` suite
+compares with the closed forms.  A cached pair record (`hall.StableBackend`)
+holds |H^0| and the negative-Ext exponent, so a warm run computes neither.
 """
 
 from fractions import Fraction
@@ -41,7 +42,7 @@ from .errors import (
     SpecError,
     WindowOverflow,
 )
-from .hall import CxBackend, HallAlgebra
+from .hall import CxBackend, HallAlgebra, MemoryCache, StableBackend
 
 
 def _q_power(q: int, e: int) -> Fraction:
@@ -118,8 +119,11 @@ class SDH:
         self.caps = caps
         self.q = cat.field.p
         self.torus = QuantumTorus(cat, caps)
+        # one cache for both algebras: stable keys never equal strict ones
+        cache = cache if cache is not None else MemoryCache()
         self.strict = HallAlgebra(CxBackend(cat, caps), cache=cache)
-        self.stable = cx.stable_registry(cat, caps)
+        self.derived = HallAlgebra(StableBackend(cat, caps), cache=cache)
+        self.stable = self.derived.backend.registry
         self.zero_class = self.stable.classify(cat.zero_complex())
 
     # -- hom bookkeeping --
@@ -256,14 +260,6 @@ class SDH:
             for m, a in xc.items() for n, b in yc.items() if m > n
         )
 
-    def _neg_ext_exponent(self, a: Complex, c: Complex) -> int:
-        """sum_{i=1}^{w+1} (-1)^(i+1) dim stable Hom(a, c[-i]), w the window
-        width: log_q of the alternating product of negative stable exts.
-        Stable Hom(a, c[-i]) is H^-i of the Hom complex of (a, c)."""
-        width = self.cat.hi - self.cat.lo
-        hc = cx._hom_complex(a, c)
-        return sum((-1) ** (i + 1) * hc.dim(-i) for i in range(1, width + 2))
-
     def rel_euler(self, a: Complex, b: Complex) -> Fraction:
         return _q_power(self.q, self.rel_euler_exponent(a, b))
 
@@ -292,23 +288,21 @@ class SDH:
     # -- product on stable classes with negative-ext corrections --
 
     def _dh_pair(self, a_id: int, c_id: int) -> dict:
+        """{stable class: |Ext^1(a, c)_u| q^neg_ext / |stable Hom(a, c)|}, with
+        neg_ext = sum_{i=1}^{w+1} (-1)^(i+1) dim stable Hom(a, c[-i]), w the
+        window width.  The pair record comes from the cache-backed
+        `derived.ext_data`; only a miss computes the literal H^0, H^-i and
+        Ext^1 and builds and strips the middles."""
         if self.cat.kind == "periodic":
             raise DerivedUndefined(
                 "stable-class product needs a bounded window"
             )
-        a = self.stable.object(a_id)
-        c = self.stable.object(c_id)
-        # Ext^1, H^0 and the H^-i share one Hom complex; classifying the
-        # middles below runs iso tests that replace it, so they come first
-        ext = cx.ext1_classes(a, c, self.caps)
-        denom = Fraction(cx.stable_hom_card(a, c))
-        corr = _q_power(self.q, self._neg_ext_exponent(a, c))
+        hom, middles, neg_ext = self.derived.ext_data(a_id, c_id)
+        denom = Fraction(hom)
+        corr = _q_power(self.q, neg_ext)
         counts: dict = {}
-        for f in ext.reps:
-            mid = cx.middle_term_cx(a, c, f)
-            m, _ = cx.strip_contractibles(mid)
-            u = self.stable.classify(m)
-            counts[u] = counts.get(u, 0) + 1
+        for u, n in middles:
+            counts[u] = counts.get(u, 0) + n
         return {u: Fraction(counts[u]) * corr / denom for u in sorted(counts)}
 
     def dh_product(self, x: dict, y: dict) -> dict:

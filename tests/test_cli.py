@@ -13,6 +13,7 @@ import pytest
 
 import hallforge.cli as cli
 from hallforge import files, hall
+from hallforge.complexes import contractible_generators, direct_sum_cx, is_minimal
 from hallforge.files import AlgebraHandle, CategorySpec, write_element
 
 
@@ -575,6 +576,7 @@ A2_PERIODIC = {
 }
 
 A3_LINEAR_BOUNDED = dict(A2_BOUNDED, quiver={"vertices": 3, "arrows": [[1, 2], [2, 3]]})
+A2_BOUNDED_WIDE = dict(A2_BOUNDED, window=[0, 2])
 
 # sha256 of the A2 q=2 window [0,1] cap-1 tables (dh and sdh recorded
 # before the projective-sum memos of ComplexCategory existed, hall and
@@ -609,7 +611,15 @@ WIDE_TABLE_SHA256 = {
         A2_PERIODIC, "total:2", "sdh",
         "e0078223b07b7cc544b6f1b0307ebc1144aa370b86247ce6517454745642acfa",
     ),
+    # the benchmark's dh grid, recorded while the derived product still
+    # recomputed every pair on every run
+    "a2-0-2-dh-total3": (
+        A2_BOUNDED_WIDE, "2,total:3", "dh",
+        "d95b932589c5ca4153417540f7095288957fca77c28ae42d335a8845f8a72176",
+    ),
 }
+# the A2 q=2 window [0,1] dh table at cap 2,total:3, recorded likewise
+DH_TOTAL3_SHA256 = "14d11af15ccdc6145714a5f0e3626c8caab53249cd42c78fe95ac768d7ad0685"
 ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b2298098d6501abe6ada"
 # sha256 of the A2 q=2 period-2 cap-1 sdh table, recorded before cones were
 # stripped by Schur complements: with period 2, d_{n-1} and d_{n+1} are one
@@ -724,3 +734,238 @@ def test_dh_table_solves_each_projective_hom_space_once(tmp_path, monkeypatch):
     # repeated (source, target) pair of objects is a repeated Hom space
     per_pair = Counter((id(a), id(b)) for a, b in calls)
     assert max(per_pair.values()) == 1
+
+
+# ---- the derived product's pair records ----
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_warm_dh_table_computes_no_pair(tmp_path, monkeypatch):
+    import hallforge.complexes as cx
+    from hallforge import quiver
+
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "dh", "--out"]
+    assert cli.main(argv + [str(tmp_path / "cold.json")]) == 0
+    # a warm run still classifies what it reads, and the iso tests behind a
+    # classification build Hom complexes and strip cones; nothing else may
+    depth = [0]
+    real_classify = quiver.Registry.classify
+
+    def classify(registry, obj):
+        depth[0] += 1
+        try:
+            return real_classify(registry, obj)
+        finally:
+            depth[0] -= 1
+
+    def forbid(name, outside_classify_only):
+        real = getattr(cx, name)
+
+        def guarded(*args, **kwargs):
+            if depth[0] == 0 or not outside_classify_only:
+                raise AssertionError(f"warm run called {name}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cx, name, guarded)
+
+    monkeypatch.setattr(quiver.Registry, "classify", classify)
+    forbid("ext1_classes", False)
+    forbid("middle_term_cx", False)
+    forbid("strip_contractibles", True)
+    forbid("_hom_complex", True)
+    assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+    assert _sha(tmp_path / "warm.json") == DH_TOTAL3_SHA256
+
+
+def _stable_heads(doc, cap):
+    """The stable backend of a dh table on (doc, cap), and {pair key: what
+    every stripped middle of the pair shares} over the pairs it multiplies."""
+    spec = CategorySpec.from_dict(doc)
+    handle = AlgebraHandle(spec, "dh")
+    ids = files.basis_keys(handle, files.parse_dim_cap(spec, cap))
+    bk = handle.sdh.derived.backend
+    heads = {}
+    for a_id in ids:
+        for c_id in ids:
+            a, c = bk.object(a_id), bk.object(c_id)
+            heads[hall.pair_key(bk.signature(), a.encoding(), c.encoding())] = bk._middle_head(a, c)
+    return bk, heads
+
+
+def _fits(enc, head) -> bool:
+    """The multiplicity part of the stable witness check."""
+    return all(
+        n in head[1] and all(m <= b for m, b in zip(mults, head[1][n])) for n, mults in enc[0]
+    )
+
+
+def _cone_summed_in(rec, bk, head, others):
+    # a cone adds nothing to the alternating class, and it fits the
+    # multiplicities, so only is_minimal can reject the witness
+    for item in rec["middles"]:
+        w = bk.decode(hall._json_to_enc(item[0]))
+        for cone in contractible_generators(bk.cat).values():
+            enc = direct_sum_cx(w, cone).encoding()
+            if _fits(enc, head):
+                item[0] = hall._enc_to_json(enc)
+                return rec
+    return None
+
+
+def _witness_of_another_pair(rec, bk, head, others):
+    # valid, minimal and within the multiplicities: only its alternating
+    # class is wrong
+    for enc in others:
+        obj = bk.decode(enc)
+        if _fits(enc, head) and bk._alternating_class(obj.comps) != head[0]:
+            rec["middles"][0][0] = hall._enc_to_json(enc)
+            return rec
+    return None
+
+
+def _dd_nonzero(rec, bk, head, others):
+    # two representation morphisms with no cone block, so the witness stays
+    # minimal and only the d d = 0 check of the validated complex rejects it
+    cat = bk.cat
+    for item in rec["middles"]:
+        comps, diffs = hall._json_to_enc(item[0])
+        if len(diffs) < 2 or diffs[1][0] != diffs[0][0] + 1:
+            continue
+        mults = dict(comps)
+        n = diffs[0][0]
+        for f0 in cat.hom_basis_of(mults[n], mults[n + 1]):
+            for f1 in cat.hom_basis_of(mults[n + 1], mults[n + 2]):
+                if all((g @ f).is_zero() for f, g in zip(f0, f1)):
+                    continue
+                enc = (comps, ((n, tuple(f.entries() for f in f0)),
+                               (n + 1, tuple(g.entries() for g in f1))) + diffs[2:])
+                if is_minimal(bk.decode(enc)):
+                    item[0] = hall._enc_to_json(enc)
+                    return rec
+    return None
+
+
+def _degree_outside_window(rec, bk, head, others):
+    for item in rec["middles"]:
+        comps, diffs = item[0]
+        if len(comps) == 1 and not diffs:
+            comps[0][0] = 7  # past the window [0, 2] and its headroom
+            return rec
+    return None
+
+
+def _stalk_pair_summed_in(rec, bk, head, others):
+    # P_i in two adjacent degrees of the pair, with a zero differential
+    # between them: valid, minimal and of the same alternating class, but
+    # past the multiplicities of the pair's direct sum
+    cat = bk.cat
+    for item in rec["middles"]:
+        w = bk.decode(hall._json_to_enc(item[0]))
+        for n in sorted(head[1]):
+            if n + 1 in head[1]:
+                for i in range(1, cat.quiver.n + 1):
+                    padded = direct_sum_cx(direct_sum_cx(w, cat.stalk(i, n)), cat.stalk(i, n + 1))
+                    if not _fits(padded.encoding(), head):
+                        item[0] = hall._enc_to_json(padded.encoding())
+                        return rec
+    return None
+
+
+def _count_zero(rec, bk, head, others):
+    rec["middles"][0][1] = 0
+    return rec
+
+
+_STABLE_DAMAGES = {
+    "hom-times-3": lambda rec, *_: dict(rec, hom=rec["hom"] * 3),
+    "neg-ext-string": lambda rec, *_: dict(rec, neg_ext=str(rec["neg_ext"])),
+    "count-zero": _count_zero,
+    "cone-summed-in": _cone_summed_in,
+    "witness-of-another-pair": _witness_of_another_pair,
+    "dd-nonzero": _dd_nonzero,
+    "degree-outside-window": _degree_outside_window,
+    "stalk-pair-summed-in": _stalk_pair_summed_in,
+}
+# a composite of two nonzero maps between projectives that is not a cone
+# needs P3 -> P2 -> P1, so A3 at a cap that holds the stalk of P1
+_DAMAGE_GRIDS = {"dd-nonzero": (dict(A3_LINEAR_BOUNDED, window=[0, 2]), "total:3")}
+
+
+@pytest.mark.parametrize("damage", list(_STABLE_DAMAGES))
+def test_damaged_stable_records_are_recomputed(tmp_path, monkeypatch, damage):
+    doc, cap = _DAMAGE_GRIDS.get(damage, (A2_BOUNDED_WIDE, "1"))
+    spec_path = write_spec(tmp_path, doc)
+    argv = ["table", "--spec", spec_path, "--dim-cap", cap, "--algebra", "dh", "--out"]
+    assert cli.main(argv + [str(tmp_path / "clean.json")]) == 0
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(doc).spec_hash}.jsonl"
+    header, *lines = cache_file.read_text().splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert entries and all("neg_ext" in e["record"] for e in entries)
+    bk, heads = _stable_heads(doc, cap)
+    witnesses = [hall._json_to_enc(enc) for e in entries for enc, _ in e["record"]["middles"]]
+    replaced = []
+    for i, entry in enumerate(entries):
+        bad = _STABLE_DAMAGES[damage](entry["record"], bk, heads[entry["key"]], witnesses)
+        if bad is not None:
+            replaced.append(lines[i])
+            lines[i] = json.dumps({"key": entry["key"], "record": bad}, sort_keys=True)
+    assert replaced
+    text = "\n".join([header, *lines]) + "\n"
+    cache_file.write_text(text)
+    assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    # the damaged lines stay, and one fresh line per damaged record follows
+    written = cache_file.read_text()
+    assert written.startswith(text)
+    assert sorted(written[len(text):].splitlines()) == sorted(replaced)
+
+    def recompute(*args):
+        raise AssertionError("pair recomputed")
+
+    monkeypatch.setattr(hall.CxBackend, "raw_ext_data", recompute)
+    assert cli.main(argv + [str(tmp_path / "warm2.json")]) == 0
+    assert cache_file.read_text() == written
+    clean = (tmp_path / "clean.json").read_bytes()
+    assert (tmp_path / "warm.json").read_bytes() == clean == (tmp_path / "warm2.json").read_bytes()
+
+
+def test_sdh_and_dh_records_share_one_cache_file(tmp_path):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    for run in ("cold", "warm"):
+        for algebra in ("sdh", "dh"):
+            out = tmp_path / f"{algebra}-{run}.json"
+            argv = ["table", "--spec", spec, "--dim-cap", "1", "--algebra", algebra]
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            assert _sha(out) == BOUNDED_TABLE_SHA256[algebra], (algebra, run)
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_BOUNDED).spec_hash}.jsonl"
+    records = [json.loads(line)["record"] for line in cache_file.read_text().splitlines()[1:]]
+    kinds = Counter("neg_ext" in rec for rec in records)
+    assert kinds[True] and kinds[False]
+    # the warm runs appended nothing: every key was written once
+    assert len(records) == kinds[True] + kinds[False]
+    # a stable key never equals the strict key of the same two encodings
+    cat = CategorySpec.from_dict(A2_BOUNDED).complex_category()
+    a, c = cat.stalk(1, 0).encoding(), cat.stalk(2, 1).encoding()
+    strict, stable = hall.CxBackend(cat), hall.StableBackend(cat)
+    assert hall.pair_key(strict.signature(), a, c) != hall.pair_key(stable.signature(), a, c)
+
+
+@pytest.mark.parametrize("first", ["dh", "toen"])
+def test_dh_table_and_toen_share_records_in_either_order(tmp_path, capsys, first):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    runs = {
+        "dh": ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "dh"],
+        "toen": ["verify", "--spec", spec, "--dim-cap", "2,total:3", "toen"],
+    }
+    order = [first, "toen" if first == "dh" else "dh"]
+    for name in order:
+        assert cli.main(runs[name] + ["--out", str(tmp_path / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert _sha(tmp_path / "dh.json") == DH_TOTAL3_SHA256
+    report = json.loads((tmp_path / "toen.json").read_text())
+    body = files.dump_doc(files.report_body(report))
+    assert hashlib.sha256(body.encode()).hexdigest() == REPORT_BODY_SHA256["toen-total3"]

@@ -17,7 +17,7 @@ from hallforge.errors import (
     SpecError,
     WindowOverflow,
 )
-from hallforge.hall import MemoryCache
+from hallforge.hall import MemoryCache, pair_key
 from hallforge.linalg import Field
 from hallforge.quiver import Quiver
 from hallforge.sdh import SDH, QuantumTorus
@@ -555,3 +555,67 @@ def test_forms_and_torus_solve_no_hom_complex(monkeypatch):
     )
     assert got == want
     assert QuantumTorus(cat).pairing_exp == s.torus.pairing_exp
+
+
+# ---- the derived product's pair records ----
+
+
+def _wide_sdh(cache=None):
+    return SDH(ComplexCategory(A2, F2, "bounded", lo=0, hi=2), cache=cache)
+
+
+def test_dh_records_hold_stable_hom_and_negative_ext_exponent():
+    s = _wide_sdh()
+    ids = s.stable_sample(max_total_dim=2)
+    bk = s.derived.backend
+    width = s.cat.hi - s.cat.lo
+    for a_id in ids:
+        for c_id in ids:
+            s._dh_pair(a_id, c_id)
+            a, c = s.stable.object(a_id), s.stable.object(c_id)
+            rec = s.derived.cache.data[pair_key(bk.signature(), a.encoding(), c.encoding())]
+            assert rec["hom"] == cx.stable_hom_card(a, c)
+            # through shifted complexes, not the H^-i of one Hom complex
+            assert rec["neg_ext"] == sum(
+                (-1) ** (i + 1) * cx.stable_hom_dim(a, cx.shift(c, -i)) for i in range(1, width + 2)
+            )
+
+
+def _reference_dh_pair(s, a_id, c_id):
+    """The derived product of one pair computed literally, every stripped
+    middle classified in enumeration order into s.stable."""
+    a, c = s.stable.object(a_id), s.stable.object(c_id)
+    width = s.cat.hi - s.cat.lo
+    neg = sum((-1) ** (i + 1) * cx.stable_hom_dim(a, cx.shift(c, -i)) for i in range(1, width + 2))
+    scale = Fraction(s.q) ** neg / cx.stable_hom_card(a, c)
+    counts = {}
+    for f in cx.ext1_classes(a, c).reps:
+        m, _ = cx.strip_contractibles(cx.middle_term_cx(a, c, f))
+        u = s.stable.classify(m)
+        counts[u] = counts.get(u, 0) + 1
+    return {u: counts[u] * scale for u in sorted(counts)}
+
+
+def test_warm_dh_pairs_keep_class_ids_in_any_order():
+    # the benchmark's dh grid: read in reverse, witnesses grouped in any
+    # other order than first occurrence change a representative here
+    grid = {"max_degree_dim": 2, "max_total_dim": 3}
+    cold = _wide_sdh()
+    ids = cold.stable_sample(**grid)
+    pairs = [(a, c) for a in ids for c in ids]
+    for a, c in pairs:
+        cold._dh_pair(a, c)
+    # the same pairs in reverse order, read from the filled cache and
+    # computed literally: the same coefficients, class ids and
+    # representatives
+    warm, ref = _wide_sdh(cache=cold.strict.cache), _wide_sdh()
+    for s in (warm, ref):
+        assert s.stable_sample(**grid) == ids
+    got = [warm._dh_pair(a, c) for a, c in reversed(pairs)]
+    want = [_reference_dh_pair(ref, a, c) for a, c in reversed(pairs)]
+    assert got == want
+    assert len(warm.stable) == len(ref.stable) > len(ids)
+    for i in range(len(ref.stable)):
+        assert warm.stable.object(i).encoding() == ref.stable.object(i).encoding()
+    # the cold run missed every pair, and the warm run found every one
+    assert (warm.derived.cache.misses, warm.derived.cache.hits) == (len(pairs), len(pairs))
