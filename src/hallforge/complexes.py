@@ -26,7 +26,8 @@ when some d_n has a nonzero scalar block P_i -> P_i.  Stripping removes one
 cone per such block by Gaussian elimination (a Schur complement of d_n and
 deletions from d_{n-1} and d_{n+1}), which produces the minimal model plus
 the generator exponents; `is_minimal` is the same scan finding no block.
-An independent contractibility check solves d h + h d = id directly.
+The tests check stripping against an independent route that solves
+d h + h d = id directly.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     SpecError,
     WindowOverflow,
 )
-from .linalg import Field, Matrix, kernel_basis, rank, rref, solve, solve_matrix
+from .linalg import Field, Matrix, kernel_basis, rank, rref, solve_matrix
 from .quiver import (
     Quiver,
     Registry,
@@ -549,19 +550,6 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
     return _MapSpace(sorted(stacks), stacks, var_start, nvars, raw_offsets, raw, shapes)
 
 
-def _raw_vector(space: _MapSpace, n: int, mats) -> np.ndarray:
-    """Embed one degree-n component into the raw coordinate vector."""
-    vec = np.zeros(space.raw_dim, dtype=np.int64)
-    if n not in space.raw_offsets:
-        # the component must be zero there; otherwise the layout is wrong
-        assert all(m.is_zero() for m in mats)
-        return vec
-    offs = space.raw_offsets[n]
-    for v, m in enumerate(mats):
-        vec[offs[v]:offs[v + 1]] = m.a.reshape(-1)
-    return vec
-
-
 def _scatter(out: np.ndarray, cols: slice, space: _MapSpace, n: int, terms, sign: int = 1):
     """Add sign times a stack of degree-n maps (per vertex, shape (count,
     rows, cols)) to out[:, cols] in the raw coordinates of space.  Entries
@@ -862,26 +850,6 @@ def euler_exponent_cx(x: Complex, y: Complex) -> int:
         for m, a in x.comps.items()
         for n, b in y.comps.items()
     )
-
-
-# ---- contractibility ----
-
-
-def is_contractible(x: Complex) -> bool:
-    """Solve d h + h d = id directly (independent of the stripping route)."""
-    if x.is_zero():
-        return True
-    field = x.cat.field
-    hc = _HomComplex(x, x)
-    space = hc.space(0)
-    cols = hc.differential(-1)
-    target = np.zeros(space.raw_dim, dtype=np.int64)
-    for n in x.comps:
-        ident = tuple(Matrix.identity(field, d) for d in x.rep(n).dims)
-        target = (target + _raw_vector(space, n, ident)) % field.p
-    if cols.shape[1] == 0:
-        return not np.any(target)
-    return solve(Matrix(field, cols), target) is not None
 
 
 def _find_unit(cat: ComplexCategory, comps: dict, diffs: dict):

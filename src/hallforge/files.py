@@ -31,7 +31,6 @@ from .hall import (
     HallAlgebra,
     RepBackend,
     SqrtExt,
-    _enc_to_json,
     _json_to_enc,
 )
 from .linalg import Field
@@ -624,18 +623,12 @@ class AlgebraHandle:
     def key_row(self, key) -> dict:
         """Identity fields of a term: exponents, advisory id, encoding."""
         fam = algebra_family(self.name)
-        if fam == "strict":
-            enc = self.backend.encode(self.backend.object(key))
-            return {"exponents": {}, "class": key, "encoding": _enc_to_json(enc)}
-        if fam == "dh":
-            enc = self.sdh.stable.object(key).encoding()
-            return {"exponents": {}, "class": key, "encoding": _enc_to_json(enc)}
-        gamma, m_id = key
-        enc = self.sdh.stable.object(m_id).encoding()
+        gamma, m_id = key if fam == "torus" else ((), key)
+        reg = self.backend.registry if fam == "strict" else self.sdh.stable
         return {
-            "exponents": self.sdh.torus.named(gamma),
+            "exponents": self.sdh.torus.named(gamma) if gamma else {},
             "class": m_id,
-            "encoding": _enc_to_json(enc),
+            "encoding": reg.object(m_id).encoding(),
         }
 
     def term_to_row(self, key, coeff) -> dict:

@@ -12,7 +12,8 @@ representations of an acyclic quiver, and complexes of projectives.  Both
 count with plain Hom cardinalities and classify objects up to (strict)
 isomorphism.  A third backend, of minimal complexes up to isomorphism
 (stable classes), serves the derived product of `sdh`: it counts with
-stable Hom cardinalities and strips the middles' contractible summands.
+stable Hom cardinalities, strips the middles' contractible summands, and
+its records scale each pair by q to the negative-Ext exponent.
 Structure constants are cached by content, keyed on the backend's signature
 and canonical object encodings, so cached and fresh runs produce identical
 output.
@@ -154,29 +155,46 @@ def _matrix_of_rows(field: Field, rows, r: int, c: int) -> Matrix:
     return Matrix(field, np.array(rows, dtype=np.int64).reshape(r, c))
 
 
-def _group_middles(encs, decode, registry: Registry) -> list[tuple[object, int]]:
-    """[(witness, class count)] for a list of middle encodings.
+def _by_encoding(objs) -> dict[tuple, list]:
+    """{encoding: [first object with it, count]} in first-occurrence order."""
+    counts: dict[tuple, list] = {}
+    for obj in objs:
+        counts.setdefault(obj.encoding(), [obj, 0])[1] += 1
+    return counts
 
-    Encodings are classified by a fresh `registry` in sorted order, so each
-    class's witness, the object that opened it, has its smallest encoding
-    and the output is in first-witness order.
+
+def _group_middles(objs, registry: Registry) -> list[tuple[object, int]]:
+    """[(witness, class count)] for a list of middles.
+
+    Middles are classified by a fresh `registry` in the sorted order of
+    their encodings, so each class's witness, the middle that opened it,
+    has its smallest encoding and the output is in first-witness order.
     """
-    counts: dict[tuple, int] = {}
-    for enc in encs:
-        counts[enc] = counts.get(enc, 0) + 1
+    counts = _by_encoding(objs)
     grouped: dict[int, int] = {}
-    for enc, n in sorted(counts.items()):
-        i = registry.classify(decode(enc))
+    for enc in sorted(counts):
+        obj, n = counts[enc]
+        i = registry.classify(obj)
         grouped[i] = grouped.get(i, 0) + n
     return [(registry.object(i), grouped[i]) for i in sorted(grouped)]
 
 
 class _Backend:
-    """What HallAlgebra's pair cache asks of every backend beyond its public
-    methods: the record fields after hom, and the check of a cached witness."""
+    """What every backend shares: classes in `self.registry`, objects
+    encoded by their own `encoding()`, and the check of a cached witness."""
 
-    # record fields after "hom", in the order raw_ext_data returns them
+    # record fields after "hom", in the order raw_ext_data returns them;
+    # each is an exponent k that scales the pair's product term by q^k
     record_fields: tuple[str, ...] = ()
+
+    def classify(self, obj) -> int:
+        return self.registry.classify(obj)
+
+    def object(self, i: int):
+        return self.registry.object(i)
+
+    def encode(self, obj) -> tuple:
+        return obj.encoding()
 
     def _witness(self, enc, head: tuple):
         """The object a cached middle encoding names, or None unless the
@@ -205,15 +223,6 @@ class RepBackend(_Backend):
     def signature(self) -> tuple:
         return ("reps", self.quiver.n, self.quiver.arrows, self.field.p)
 
-    def classify(self, obj: Rep) -> int:
-        return self.registry.classify(obj)
-
-    def object(self, i: int) -> Rep:
-        return self.registry.object(i)
-
-    def encode(self, obj: Rep) -> tuple:
-        return obj.encoding()
-
     def decode(self, enc) -> Rep:
         dims, maps = enc
         mats = [
@@ -228,11 +237,11 @@ class RepBackend(_Backend):
     def raw_ext_data(self, a: Rep, c: Rep):
         """(hom cardinality, [(middle, class count)]), one witness per class."""
         ext = ext1_space(a, c, self.caps)
-        encs = [middle_term(a, c, f).encoding() for f in ext.reps]
+        mids = [middle_term(a, c, f) for f in ext.reps]
         # rep_registry's twin, built here so its iso tests run through this
         # module's iso_test binding (the one perfbench's tracer counts)
         reg = Registry(lambda x, y: iso_test(x, y, self.caps), rep_invariant)
-        return self.field.p ** ext.hom_dim, _group_middles(encs, self.decode, reg)
+        return self.field.p ** ext.hom_dim, _group_middles(mids, reg)
 
     def euler_exp(self, a: Rep, c: Rep) -> int:
         return euler_exponent(self.quiver, a.dims, c.dims)
@@ -261,15 +270,6 @@ class CxBackend(_Backend):
 
     def signature(self) -> tuple:
         return self.cat.signature()
-
-    def classify(self, obj: cx.Complex) -> int:
-        return self.registry.classify(obj)
-
-    def object(self, i: int) -> cx.Complex:
-        return self.registry.object(i)
-
-    def encode(self, obj: cx.Complex) -> tuple:
-        return obj.encoding()
 
     def decode(self, enc, validate: bool = False) -> cx.Complex:
         comps_part, diffs_part = enc
@@ -302,8 +302,7 @@ class CxBackend(_Backend):
 
     def _group(self, mids: list) -> list[tuple[cx.Complex, int]]:
         """One witness per strict class, counted."""
-        encs = [m.encoding() for m in mids]
-        return _group_middles(encs, self.decode, self._registry())
+        return _group_middles(mids, self._registry())
 
     def euler_exp(self, a: cx.Complex, c: cx.Complex) -> int:
         return cx.euler_exponent_cx(a, c)  # raises EulerUndefined when periodic
@@ -348,12 +347,8 @@ class StableBackend(CxBackend):
     def _group(self, mids: list) -> list[tuple[cx.Complex, int]]:
         """One entry per distinct encoding of a stripped middle, at its first
         occurrence; classes are left to the registry."""
-        groups: dict[tuple, list] = {}
-        for mid in mids:
-            m, _ = cx.strip_contractibles(mid)
-            hit = groups.setdefault(m.encoding(), [m, 0])
-            hit[1] += 1
-        return [(m, n) for m, n in groups.values()]
+        stripped = (cx.strip_contractibles(mid)[0] for mid in mids)
+        return [(m, n) for m, n in _by_encoding(stripped).values()]
 
     def _alternating_class(self, comps: dict) -> tuple[int, ...]:
         """sum_n (-1)^n comps[n]: a cone P_i in degrees n, n + 1 adds nothing."""
@@ -390,13 +385,6 @@ class StableBackend(CxBackend):
 
 
 # ---- content-addressed structure-constant cache ----
-
-
-def _enc_to_json(enc):
-    """Nested tuples -> nested lists (canonical JSON form)."""
-    if isinstance(enc, tuple):
-        return [_enc_to_json(x) for x in enc]
-    return enc
 
 
 def _json_to_enc(obj):
@@ -511,7 +499,8 @@ class HallAlgebra:
                 self.cache.put(key, {
                     "hom": hom,
                     **dict(zip(bk.record_fields, fields)),
-                    "middles": [[_enc_to_json(bk.encode(obj)), n] for obj, n in middles],
+                    # json.dumps writes the encoding tuples as lists
+                    "middles": [[bk.encode(obj), n] for obj, n in middles],
                 })
             hom, middles, *fields = pair
             resolved = (hom, [(bk.classify(obj), n) for obj, n in middles], *fields)
@@ -560,8 +549,9 @@ class HallAlgebra:
 
     def _product(self, x: dict, y: dict, twisted: bool) -> dict:
         """Bilinear product: a pair [A], [C] with coefficients ca, cc adds
-        ca cc v^e |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B], with
-        e = e(A, C) when `twisted` and e = 0 otherwise.
+        ca cc v^e |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B], with e
+        twice the sum of the record fields (the stable backend's negative-Ext
+        exponent), plus e(A, C) when `twisted`.
 
         Every term is an integer triple (A, B, D) standing for (A + B v) / D
         with D > 0, and each middle accumulates one triple; a coefficient
@@ -575,20 +565,20 @@ class HallAlgebra:
         acc: dict[int, list[int]] = {}
         for a_id, (a1, b1, d1) in xs:
             for c_id, (a2, b2, d2) in ys:
+                hom, middles, *fields = self.ext_data(a_id, c_id)
                 num_a = a1 * a2 + q * b1 * b2
                 num_b = a1 * b2 + b1 * a2
-                den = d1 * d2
+                den = d1 * d2 * hom
+                e = 2 * sum(fields)  # q^k = v^2k per record field k
                 if twisted:
-                    e = bk.euler_exp(bk.object(a_id), bk.object(c_id))
-                    if e & 1:  # (A + B v) v = q B + A v
-                        num_a, num_b = q * num_b, num_a
-                    k = e >> 1  # v^e = q^k, times v when e is odd
-                    if k > 0:
-                        num_a, num_b = num_a * q**k, num_b * q**k
-                    elif k < 0:
-                        den *= q**-k
-                hom, middles = self.ext_data(a_id, c_id)
-                den *= hom
+                    e += bk.euler_exp(bk.object(a_id), bk.object(c_id))
+                if e & 1:  # (A + B v) v = q B + A v
+                    num_a, num_b = q * num_b, num_a
+                k = e >> 1  # v^e = q^k, times v when e is odd
+                if k > 0:
+                    num_a, num_b = num_a * q**k, num_b * q**k
+                elif k < 0:
+                    den *= q**-k
                 for b_id, n in middles:
                     t = acc.get(b_id)
                     if t is None:

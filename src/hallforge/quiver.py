@@ -153,20 +153,11 @@ class Rep:
 
 
 def direct_sum(a: Rep, b: Rep) -> Rep:
-    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    field = a.field
-    maps = []
-    for i, (t, h) in enumerate(a.quiver.arrows):
-        maps.append(
-            block2x2(
-                field,
-                a.maps[i],
-                Matrix.zeros(field, a.dims[h - 1], b.dims[t - 1]),
-                Matrix.zeros(field, b.dims[h - 1], a.dims[t - 1]),
-                b.maps[i],
-            )
-        )
-    return Rep(a.quiver, field, dims, maps)
+    """a (+) b, a block first: the split extension of b by a."""
+    zero = tuple(
+        Matrix.zeros(a.field, a.dims[h - 1], b.dims[t - 1]) for t, h in a.quiver.arrows
+    )
+    return middle_term(b, a, zero)
 
 
 def _hom_constraint_matrix(a: Rep, b: Rep) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:

@@ -24,11 +24,12 @@ a basis key (gamma, m) pairs through the class of K_gamma ⊕ m, gamma of any
 sign.  The Euler form sum_p (-1)^p dim H^p is sum_{m,n} (-1)^(n-m)
 dim Hom(x_m, y_n) (`complexes.euler_exponent_cx`).  The cones are
 projective-injective: a chain map K(i, n) -> x is any map P_i -> x_n, and
-x -> K(i, n) is any map x_{n+1} -> P_i.  On a pair-cache miss `_dh_pair`
-reads H^-i, H^0 and H^1 of one Hom complex, dim H^k = dim Hom^k - rank d^k
+x -> K(i, n) is any map x_{n+1} -> P_i.  The derived product is the
+counting product of `hall.StableBackend`: on a pair-cache miss it reads
+H^-i, H^0 and H^1 of one Hom complex, dim H^k = dim Hom^k - rank d^k
 - rank d^(k-1): that is still the literal route, which the `toen` suite
-compares with the closed forms.  A cached pair record (`hall.StableBackend`)
-holds |H^0| and the negative-Ext exponent, so a warm run computes neither.
+compares with the closed forms.  A cached pair record holds |H^0| and the
+negative-Ext exponent, so a warm run computes neither.
 """
 
 from fractions import Fraction
@@ -43,12 +44,6 @@ from .errors import (
     WindowOverflow,
 )
 from .hall import CxBackend, HallAlgebra, MemoryCache, StableBackend
-
-
-def _q_power(q: int, e: int) -> Fraction:
-    if e >= 0:
-        return Fraction(q**e)
-    return Fraction(1, q ** (-e))
 
 
 class QuantumTorus:
@@ -108,7 +103,7 @@ class QuantumTorus:
         )
 
     def pairing(self, gamma: tuple, delta: tuple) -> Fraction:
-        return _q_power(self.q, self.pairing_exponent(gamma, delta))
+        return Fraction(self.q) ** self.pairing_exponent(gamma, delta)
 
 
 class SDH:
@@ -131,7 +126,7 @@ class SDH:
     def gen_hom(self, gamma: tuple, m_id: int) -> Fraction:
         """|Hom(K_gamma, m)| extended to integer exponent vectors."""
         dims = self.torus.hom_from(self.stable.object(m_id))
-        return _q_power(self.q, sum(g * d for g, d in zip(gamma, dims)))
+        return Fraction(self.q) ** sum(g * d for g, d in zip(gamma, dims))
 
     def commutation(self, delta: tuple, m_id: int) -> Fraction:
         """Scalar in [m] ⋄ t_delta = commutation(delta, m) t_delta ⋄ [m].
@@ -142,7 +137,7 @@ class SDH:
         fwd = self.torus.hom_from(m)
         rev = self.torus.hom_to(m)
         e = sum(d * (f - r) for d, f, r in zip(delta, fwd, rev))
-        return _q_power(self.q, e)
+        return Fraction(self.q) ** e
 
     # -- elements --
 
@@ -261,7 +256,7 @@ class SDH:
         )
 
     def rel_euler(self, a: Complex, b: Complex) -> Fraction:
-        return _q_power(self.q, self.rel_euler_exponent(a, b))
+        return Fraction(self.q) ** self.rel_euler_exponent(a, b)
 
     def _rel_exponent_keys(self, kx: tuple, ky: tuple) -> int:
         """Biadditive extension of the relative Euler exponent to keys."""
@@ -280,43 +275,22 @@ class SDH:
         out: dict = {}
         for kx, c1 in sorted(x.items()):
             for ky, c2 in sorted(y.items()):
-                tw = _q_power(self.q, self._rel_exponent_keys(kx, ky))
+                tw = Fraction(self.q) ** self._rel_exponent_keys(kx, ky)
                 part = self.product({kx: c1 * tw}, {ky: c2})
                 out = self.add(out, part)
         return out
 
     # -- product on stable classes with negative-ext corrections --
 
-    def _dh_pair(self, a_id: int, c_id: int) -> dict:
-        """{stable class: |Ext^1(a, c)_u| q^neg_ext / |stable Hom(a, c)|}, with
-        neg_ext = sum_{i=1}^{w+1} (-1)^(i+1) dim stable Hom(a, c[-i]), w the
-        window width.  The pair record comes from the cache-backed
-        `derived.ext_data`; only a miss computes the literal H^0, H^-i and
-        Ext^1 and builds and strips the middles."""
-        if self.cat.kind == "periodic":
-            raise DerivedUndefined(
-                "stable-class product needs a bounded window"
-            )
-        hom, middles, neg_ext = self.derived.ext_data(a_id, c_id)
-        denom = Fraction(hom)
-        corr = _q_power(self.q, neg_ext)
-        counts: dict = {}
-        for u, n in middles:
-            counts[u] = counts.get(u, 0) + n
-        return {u: Fraction(counts[u]) * corr / denom for u in sorted(counts)}
-
     def dh_product(self, x: dict, y: dict) -> dict:
-        """Product of {stable_id: coeff} elements: extension classes with
-        middles classified stably, stable hom cardinalities, and the
-        alternating negative-ext correction.  Bounded windows only."""
-        out: dict = {}
-        for a_id in sorted(x):
-            for c_id in sorted(y):
-                pair = self._dh_pair(a_id, c_id)
-                co = x[a_id] * y[c_id]
-                for u, v in pair.items():
-                    out[u] = out.get(u, Fraction(0)) + co * v
-        return {k: v for k, v in sorted(out.items()) if v != 0}
+        """Product of {stable_id: coeff} elements: `derived`'s counting
+        product, whose pair records hold the stable hom cardinality and the
+        negative-Ext exponent sum_{i=1}^{w+1} (-1)^(i+1) dim stable
+        Hom(a, c[-i]), w the window width, and whose middles are classified
+        stably.  Bounded windows only."""
+        if self.cat.kind == "periodic":
+            raise DerivedUndefined("stable-class product needs a bounded window")
+        return self.derived.product(x, y)
 
     def dh_basis(self, x: Complex) -> dict:
         return {self.stable_class(x): Fraction(1)}
@@ -410,7 +384,7 @@ class SDH:
                 self.basis(self.torus.zero(), a_id),
                 self.basis(self.torus.zero(), c_id),
             )
-            rhs = self._dh_pair(a_id, c_id)
+            rhs = self.dh_product({a_id: Fraction(1)}, {c_id: Fraction(1)})
             lhs_classes = set()
             pair_literal = None
             for (eps, u_id), co in sorted(lhs.items()):

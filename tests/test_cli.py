@@ -620,6 +620,10 @@ WIDE_TABLE_SHA256 = {
 }
 # the A2 q=2 window [0,1] dh table at cap 2,total:3, recorded likewise
 DH_TOTAL3_SHA256 = "14d11af15ccdc6145714a5f0e3626c8caab53249cd42c78fe95ac768d7ad0685"
+# the cold cache file that `table --algebra dh` and then `--algebra hall`
+# write on that grid: 169 stable records, then 256 strict ones, recorded
+# while the derived product still kept a product loop of its own
+DH_HALL_CACHE_SHA256 = "7cd5ca8f0dd4ebedf9542f651f142577e81f40e59ad243871546117b08a66dbc"
 ABELIAN_Q3_TWISTED_SHA256 = "d1b139441927eff01bc695311b349eb3b17979b36eb7b2298098d6501abe6ada"
 # sha256 of the A2 q=2 period-2 cap-1 sdh table, recorded before cones were
 # stripped by Schur complements: with period 2, d_{n-1} and d_{n+1} are one
@@ -797,6 +801,11 @@ def _stable_heads(doc, cap):
     return bk, heads
 
 
+def _as_json(enc):
+    """An encoding as a cache file holds it: tuples become lists."""
+    return json.loads(json.dumps(enc))
+
+
 def _fits(enc, head) -> bool:
     """The multiplicity part of the stable witness check."""
     return all(
@@ -812,7 +821,7 @@ def _cone_summed_in(rec, bk, head, others):
         for cone in contractible_generators(bk.cat).values():
             enc = direct_sum_cx(w, cone).encoding()
             if _fits(enc, head):
-                item[0] = hall._enc_to_json(enc)
+                item[0] = _as_json(enc)
                 return rec
     return None
 
@@ -823,7 +832,7 @@ def _witness_of_another_pair(rec, bk, head, others):
     for enc in others:
         obj = bk.decode(enc)
         if _fits(enc, head) and bk._alternating_class(obj.comps) != head[0]:
-            rec["middles"][0][0] = hall._enc_to_json(enc)
+            rec["middles"][0][0] = _as_json(enc)
             return rec
     return None
 
@@ -845,7 +854,7 @@ def _dd_nonzero(rec, bk, head, others):
                 enc = (comps, ((n, tuple(f.entries() for f in f0)),
                                (n + 1, tuple(g.entries() for g in f1))) + diffs[2:])
                 if is_minimal(bk.decode(enc)):
-                    item[0] = hall._enc_to_json(enc)
+                    item[0] = _as_json(enc)
                     return rec
     return None
 
@@ -871,7 +880,7 @@ def _stalk_pair_summed_in(rec, bk, head, others):
                 for i in range(1, cat.quiver.n + 1):
                     padded = direct_sum_cx(direct_sum_cx(w, cat.stalk(i, n)), cat.stalk(i, n + 1))
                     if not _fits(padded.encoding(), head):
-                        item[0] = hall._enc_to_json(padded.encoding())
+                        item[0] = _as_json(padded.encoding())
                         return rec
     return None
 
@@ -969,3 +978,15 @@ def test_dh_table_and_toen_share_records_in_either_order(tmp_path, capsys, first
     report = json.loads((tmp_path / "toen.json").read_text())
     body = files.dump_doc(files.report_body(report))
     assert hashlib.sha256(body.encode()).hexdigest() == REPORT_BODY_SHA256["toen-total3"]
+
+
+def test_stable_and_strict_records_keep_their_cache_file_bytes(tmp_path):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    for algebra in ("dh", "hall"):
+        argv = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", algebra]
+        assert cli.main(argv + ["--out", str(tmp_path / f"{algebra}.json")]) == 0
+    assert _sha(tmp_path / "dh.json") == DH_TOTAL3_SHA256
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_BOUNDED).spec_hash}.jsonl"
+    records = [json.loads(line)["record"] for line in cache_file.read_text().splitlines()[1:]]
+    assert [("neg_ext" in rec) for rec in records] == [True] * 169 + [False] * 256
+    assert _sha(cache_file) == DH_HALL_CACHE_SHA256

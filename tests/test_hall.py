@@ -9,6 +9,7 @@ no code.
 
 import copy
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -613,7 +614,8 @@ def test_malformed_complex_records_are_recomputed(corruption):
     clean_records = copy.deepcopy(cache.data)
     damaged = 0
     for key, rec in cache.data.items():
-        bad = _CX_CORRUPTIONS[corruption](copy.deepcopy(rec))
+        # the damages edit the record as a cache file holds it: JSON lists
+        bad = _CX_CORRUPTIONS[corruption](json.loads(json.dumps(rec)))
         if bad is not None:
             cache.data[key] = bad
             damaged += 1

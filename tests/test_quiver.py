@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import hallforge.quiver as quiver_mod
 from hallforge.config import Caps
 from hallforge.errors import EndoSearchCapExceeded, EnumCapExceeded, ExtEnumCapExceeded
-from hallforge.linalg import Field, Matrix, rref
+from hallforge.linalg import Field, Matrix, block2x2, rref
 from hallforge.quiver import (
     Quiver,
     Registry,
@@ -211,6 +211,32 @@ def test_middle_term_dims_and_conflation_shape():
     assert b.dims == (1, 1)
     # sub factor (first block) is c, quotient (second block) is a
     assert b.maps[0].entries() == ((1,),)
+
+
+def _reference_direct_sum(a, b):
+    """a (+) b assembled arrow by arrow from its two diagonal blocks."""
+    field = a.field
+    maps = [
+        block2x2(
+            field,
+            a.maps[i],
+            Matrix.zeros(field, a.dims[h - 1], b.dims[t - 1]),
+            Matrix.zeros(field, b.dims[h - 1], a.dims[t - 1]),
+            b.maps[i],
+        )
+        for i, (t, h) in enumerate(a.quiver.arrows)
+    ]
+    return Rep(a.quiver, field, tuple(x + y for x, y in zip(a.dims, b.dims)), maps)
+
+
+@pytest.mark.parametrize(
+    "quiver, field, cap", [(A2, F2, (2, 2)), (A3, F3, (1, 1, 1))], ids=["a2-q2", "a3-q3"]
+)
+def test_direct_sum_matches_blockwise_reference(quiver, field, cap):
+    reg = enumerate_reps(quiver, field, cap)
+    objs = [reg.object(i) for i in range(len(reg))]
+    for a, b in itertools.product(objs, repeat=2):
+        assert direct_sum(a, b).encoding() == _reference_direct_sum(a, b).encoding()
 
 
 def test_proj_indec_a3():

@@ -564,6 +564,11 @@ def _wide_sdh(cache=None):
     return SDH(ComplexCategory(A2, F2, "bounded", lo=0, hi=2), cache=cache)
 
 
+def _dh(s, a_id, c_id):
+    """The derived product of two basis classes."""
+    return s.dh_product({a_id: Fraction(1)}, {c_id: Fraction(1)})
+
+
 def test_dh_records_hold_stable_hom_and_negative_ext_exponent():
     s = _wide_sdh()
     ids = s.stable_sample(max_total_dim=2)
@@ -571,7 +576,7 @@ def test_dh_records_hold_stable_hom_and_negative_ext_exponent():
     width = s.cat.hi - s.cat.lo
     for a_id in ids:
         for c_id in ids:
-            s._dh_pair(a_id, c_id)
+            _dh(s, a_id, c_id)
             a, c = s.stable.object(a_id), s.stable.object(c_id)
             rec = s.derived.cache.data[pair_key(bk.signature(), a.encoding(), c.encoding())]
             assert rec["hom"] == cx.stable_hom_card(a, c)
@@ -604,14 +609,14 @@ def test_warm_dh_pairs_keep_class_ids_in_any_order():
     ids = cold.stable_sample(**grid)
     pairs = [(a, c) for a in ids for c in ids]
     for a, c in pairs:
-        cold._dh_pair(a, c)
+        _dh(cold, a, c)
     # the same pairs in reverse order, read from the filled cache and
     # computed literally: the same coefficients, class ids and
     # representatives
     warm, ref = _wide_sdh(cache=cold.strict.cache), _wide_sdh()
     for s in (warm, ref):
         assert s.stable_sample(**grid) == ids
-    got = [warm._dh_pair(a, c) for a, c in reversed(pairs)]
+    got = [_dh(warm, a, c) for a, c in reversed(pairs)]
     want = [_reference_dh_pair(ref, a, c) for a, c in reversed(pairs)]
     assert got == want
     assert len(warm.stable) == len(ref.stable) > len(ids)
@@ -619,3 +624,27 @@ def test_warm_dh_pairs_keep_class_ids_in_any_order():
         assert warm.stable.object(i).encoding() == ref.stable.object(i).encoding()
     # the cold run missed every pair, and the warm run found every one
     assert (warm.derived.cache.misses, warm.derived.cache.hits) == (len(pairs), len(pairs))
+
+
+def test_dh_product_of_sums_is_the_bilinear_expansion_of_literal_pairs():
+    # the benchmark's dh grid, every class on each side with a coefficient
+    # that is not a unit, and a short element against it
+    grid = {"max_degree_dim": 2, "max_total_dim": 3}
+    s, ref = _wide_sdh(), _wide_sdh()
+    ids = s.stable_sample(**grid)
+    assert ref.stable_sample(**grid) == ids and len(ids) == 28
+    x = {a: Fraction((-1) ** i * (i + 2), 3 + i % 4) for i, a in enumerate(ids)}
+    y = {c: Fraction(5 - 2 * (i % 3), 2 ** (i % 3)) for i, c in enumerate(reversed(ids))}
+    short = {ids[3]: Fraction(-7, 2), ids[11]: Fraction(2, 9), ids[0]: Fraction(3)}
+    for left, right in ((x, y), (short, x)):
+        want = {}
+        for a in sorted(left):
+            for c in sorted(right):
+                for u, v in _reference_dh_pair(ref, a, c).items():
+                    want[u] = want.get(u, 0) + left[a] * right[c] * v
+        got = s.dh_product(left, right)
+        assert got == {u: v for u, v in want.items() if v != 0}
+        assert all(type(v) is Fraction for v in got.values())
+    assert len(s.stable) == len(ref.stable) > len(ids)
+    for i in range(len(ref.stable)):
+        assert s.stable.object(i).encoding() == ref.stable.object(i).encoding()
