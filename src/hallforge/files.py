@@ -5,7 +5,8 @@ serialized as "num/den" strings so nothing is ever rounded; coefficients in
 the square-root extension carry the v-part in a separate "coeff_root"
 field.  Writers sort object keys and emit terms in a fixed order (exponent
 vector lexicographic, then class id), so running the same computation twice
-produces byte-identical files.
+produces byte-identical files.  Object encodings in element files are read
+by the backend's one checked reader (`hall._Backend.read`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .hall import (
     HallAlgebra,
     RepBackend,
     SqrtExt,
-    _json_to_enc,
 )
 from .linalg import Field
 from .quiver import Quiver, enumerate_reps
@@ -167,12 +167,8 @@ def load_json(path) -> dict:
         raise SpecError(f"{path}: not valid JSON ({e})")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _require_int(doc, name, val) -> int:
-    if not _is_int(val):
+    if not isinstance(val, int) or isinstance(val, bool):
         raise SpecError(f"{doc}: {name} must be an integer, got {val!r}")
     return val
 
@@ -482,76 +478,6 @@ def algebra_family(name: str) -> str:
     return "dh"
 
 
-# ---- encodings read from element files ----
-
-
-def _check_counts(what: str, vals, n: int) -> None:
-    if not (
-        isinstance(vals, list) and len(vals) == n and all(_is_int(x) and x >= 0 for x in vals)
-    ):
-        raise SpecError(f"encoding: {what} must list {n} integers >= 0, got {vals!r}")
-
-
-def _check_matrix(what: str, rows, r: int, c: int, q: int) -> None:
-    if not (
-        isinstance(rows, list)
-        and len(rows) == r
-        and all(
-            isinstance(row, list) and len(row) == c and all(_is_int(x) and 0 <= x < q for x in row)
-            for row in rows
-        )
-    ):
-        raise SpecError(f"encoding: {what} must be a {r} x {c} matrix over F_{q}, got {rows!r}")
-
-
-def _degree_table(what: str, part) -> dict:
-    """[[degree, value], ...] with distinct integer degrees, as a dict."""
-    if not (
-        isinstance(part, list)
-        and all(isinstance(e, list) and len(e) == 2 and _is_int(e[0]) for e in part)
-    ):
-        raise SpecError(f"encoding: {what} must be a list of [degree, value] pairs, got {part!r}")
-    table = dict(part)
-    if len(table) != len(part):
-        raise SpecError(f"encoding: a degree is listed twice in the {what}")
-    return table
-
-
-def _decode_checked(backend, enc):
-    """The object an encoding from outside names, built with every check:
-    its shape, entries in [0, q), and for complexes a differential that is
-    a representation morphism with d d = 0.  Raises SpecError otherwise."""
-    quiver = backend.quiver
-    q = backend.field.p
-    if not (isinstance(enc, list) and len(enc) == 2):
-        raise SpecError(f"encoding must be a two-element list, got {enc!r}")
-    if backend.kind == "reps":
-        dims, maps = enc
-        _check_counts("dims", dims, quiver.n)
-        if not (isinstance(maps, list) and len(maps) == len(quiver.arrows)):
-            raise SpecError(f"encoding: need one matrix per arrow, got {maps!r}")
-        for (t, h), rows in zip(quiver.arrows, maps):
-            _check_matrix(f"arrow ({t},{h})", rows, dims[h - 1], dims[t - 1], q)
-        return backend.decode(_json_to_enc(enc))
-    cat = backend.cat
-    comps = _degree_table("components", enc[0])
-    for n, mults in comps.items():
-        if cat.wrap(n) != n:
-            raise SpecError(f"encoding: degree {n} is outside the category")
-        _check_counts(f"multiplicities at degree {n}", mults, quiver.n)
-    for n, vmats in _degree_table("differentials", enc[1]).items():
-        n1 = cat.next_deg(n)
-        if n not in comps or n1 not in comps:
-            raise SpecError(f"encoding: differential at degree {n} has a zero end")
-        src, tgt = cat.rep_of(comps[n]).dims, cat.rep_of(comps[n1]).dims
-        if not (isinstance(vmats, list) and len(vmats) == quiver.n):
-            raise SpecError(f"encoding: d_{n} needs one matrix per vertex, got {vmats!r}")
-        for v, rows in enumerate(vmats):
-            _check_matrix(f"d_{n} at vertex {v + 1}", rows, tgt[v], src[v], q)
-    obj = backend.decode(_json_to_enc(enc))
-    return cx.Complex(cat, obj.comps, obj.diffs)
-
-
 class AlgebraHandle:
     """One algebra name bound to a concrete spec: element arithmetic plus
     the term codec shared by element and table files.
@@ -645,7 +571,7 @@ class AlgebraHandle:
         """
         if not isinstance(row, dict) or "encoding" not in row:
             raise SpecError("term without an encoding")
-        obj = _decode_checked(self.backend, row["encoding"])
+        obj = self.backend.read(row["encoding"])
         coeff = coeff_from_json(row, self.q)
         fam = family or algebra_family(self.name)
         if fam == "strict":

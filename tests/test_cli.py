@@ -9,12 +9,15 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hallforge.cli as cli
 from hallforge import files, hall
-from hallforge.complexes import contractible_generators, direct_sum_cx, is_minimal
+from hallforge.complexes import Complex, contractible_generators, direct_sum_cx, is_minimal
+from hallforge.errors import SpecError
 from hallforge.files import AlgebraHandle, CategorySpec, write_element
+from hallforge.linalg import Matrix
 
 
 A2_ABELIAN = {
@@ -343,8 +346,9 @@ def test_exit_2_on_spec_hash_mismatch(tmp_path):
 
 
 # element-file encodings that name no object of the spec: a complex with
-# d d != 0, a differential that is no representation morphism, and
-# malformed shapes or entries, each with the spec it is read against
+# d d != 0, a differential that is no representation morphism, malformed
+# shapes or entries, and an encoding that is not the canonical one of its
+# object, each with the spec it is read against
 BAD_ENCODINGS = {
     "complex-dd-nonzero": (
         dict(A2_BOUNDED, window=[0, 2]),
@@ -358,6 +362,18 @@ BAD_ENCODINGS = {
     "rep-dims-length": (A2_ABELIAN, [[1, 1, 1], [[[1]]]]),
     "rep-row-length": (A2_ABELIAN, [[1, 1], [[[1, 1]]]]),
     "rep-entry-outside-field": (A2_ABELIAN, [[1, 1], [[[2]]]]),
+    "rep-bool-entry": (A2_ABELIAN, [[1, 1], [[[True]]]]),
+    "rep-bool-dim": (A2_ABELIAN, [[True, 1], [[[1]]]]),
+    "rep-float-entry": (A2_ABELIAN, [[1, 1], [[[1.0]]]]),
+    "complex-float-multiplicity": (A2_BOUNDED, [[[0, [1.0, 0]]], []]),
+    "complex-degree-twice": (A2_BOUNDED, [[[0, [1, 0]], [0, [1, 0]]], []]),
+    "complex-zero-diff-at-zero-end": (A2_BOUNDED, [[[0, [1, 0]]], [[0, [[], []]]]]),
+    "complex-short-multiplicities": (A2_BOUNDED, [[[0, [1]]], []]),
+    # a valid complex (P1 in degree 0, P2 in degree 1) with its degrees out
+    # of order: read before canonical form was required, it exited 0
+    "complex-degrees-out-of-order": (
+        A2_BOUNDED, [[[1, [0, 1]], [0, [1, 0]]], [[0, [[], [[0]]]]]],
+    ),
 }
 
 
@@ -620,6 +636,9 @@ WIDE_TABLE_SHA256 = {
 }
 # the A2 q=2 window [0,1] dh table at cap 2,total:3, recorded likewise
 DH_TOTAL3_SHA256 = "14d11af15ccdc6145714a5f0e3626c8caab53249cd42c78fe95ac768d7ad0685"
+# the hall table on that grid, recorded before strict complex records were
+# checked as complexes on read
+HALL_TOTAL3_SHA256 = "84587c0ce036bdc1bc656bf4bb069e1585176d7456a420b6e3d11d0e62d90466"
 # the cold cache file that `table --algebra dh` and then `--algebra hall`
 # write on that grid: 169 stable records, then 256 strict ones, recorded
 # while the derived product still kept a product loop of its own
@@ -839,22 +858,22 @@ def _witness_of_another_pair(rec, bk, head, others):
 
 def _dd_nonzero(rec, bk, head, others):
     # two representation morphisms with no cone block, so the witness stays
-    # minimal and only the d d = 0 check of the validated complex rejects it
+    # minimal and only the d d = 0 check of the validated complex rejects
+    # it; the backend validates what it decodes, so it is built unchecked
     cat = bk.cat
     for item in rec["middles"]:
-        comps, diffs = hall._json_to_enc(item[0])
-        if len(diffs) < 2 or diffs[1][0] != diffs[0][0] + 1:
+        w = bk.read(item[0])
+        degs = sorted(w.diffs)
+        if len(degs) < 2 or degs[1] != degs[0] + 1:
             continue
-        mults = dict(comps)
-        n = diffs[0][0]
-        for f0 in cat.hom_basis_of(mults[n], mults[n + 1]):
-            for f1 in cat.hom_basis_of(mults[n + 1], mults[n + 2]):
+        n = degs[0]
+        for f0 in cat.hom_basis_of(w.comps[n], w.comps[n + 1]):
+            for f1 in cat.hom_basis_of(w.comps[n + 1], w.comps[n + 2]):
                 if all((g @ f).is_zero() for f, g in zip(f0, f1)):
                     continue
-                enc = (comps, ((n, tuple(f.entries() for f in f0)),
-                               (n + 1, tuple(g.entries() for g in f1))) + diffs[2:])
-                if is_minimal(bk.decode(enc)):
-                    item[0] = _as_json(enc)
+                bad = Complex(cat, w.comps, {**w.diffs, n: f0, n + 1: f1}, validate=False)
+                if is_minimal(bad):
+                    item[0] = _as_json(bad.encoding())
                     return rec
     return None
 
@@ -940,6 +959,63 @@ def test_damaged_stable_records_are_recomputed(tmp_path, monkeypatch, damage):
     assert cache_file.read_text() == written
     clean = (tmp_path / "clean.json").read_bytes()
     assert (tmp_path / "warm.json").read_bytes() == clean == (tmp_path / "warm2.json").read_bytes()
+
+
+def _built(cat, enc, validate):
+    """The complex a JSON encoding names, built by hand; Complex runs its
+    checks (degrees, morphisms, d d = 0) when `validate`."""
+    comps, diffs = enc
+    mults = {n: tuple(m) for n, m in comps}
+    maps = {}
+    for n, blocks in diffs:
+        src, tgt = cat.rep_of(mults[n]).dims, cat.rep_of(mults[cat.next_deg(n)]).dims
+        maps[n] = tuple(
+            Matrix(cat.field, np.array(rows, dtype=np.int64).reshape(t, s))
+            for rows, s, t in zip(blocks, src, tgt)
+        )
+    return Complex(cat, mults, maps, validate=validate)
+
+
+def _flip_to_non_complex(rec, cat):
+    """Flip one differential entry (q = 2) of a middle of `rec` so that the
+    middle is no longer a complex; None if no single flip does that."""
+    for item in rec["middles"]:
+        for _, blocks in item[0][1]:
+            for rows in blocks:
+                for row in rows:
+                    for j in range(len(row)):
+                        row[j] = 1 - row[j]
+                        try:
+                            _built(cat, item[0], validate=True)
+                        except SpecError:
+                            return rec
+                        row[j] = 1 - row[j]
+    return None
+
+
+def test_strict_complex_record_naming_a_non_complex_is_recomputed(tmp_path):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "hall", "--out"]
+    assert cli.main(argv + [str(tmp_path / "cold.json")]) == 0
+    assert _sha(tmp_path / "cold.json") == HALL_TOTAL3_SHA256
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_BOUNDED).spec_hash}.jsonl"
+    header, *lines = cache_file.read_text().splitlines()
+    cat = CategorySpec.from_dict(A2_BOUNDED).complex_category()
+    for i, line in enumerate(lines):
+        entry = json.loads(line)
+        if _flip_to_non_complex(entry["record"], cat) is not None:
+            clean, lines[i] = line, json.dumps(entry, sort_keys=True)
+            break
+    else:
+        pytest.fail("no record can be damaged into a non-complex")
+    text = "\n".join([header, *lines]) + "\n"
+    cache_file.write_text(text)
+    assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    assert _sha(tmp_path / "warm.json") == HALL_TOTAL3_SHA256
+    # the damaged line stays, and the recomputed record follows it once
+    written = cache_file.read_text()
+    assert written.startswith(text)
+    assert written[len(text):].splitlines() == [clean]
 
 
 def test_sdh_and_dh_records_share_one_cache_file(tmp_path):

@@ -8,18 +8,22 @@ no code.
 """
 
 import copy
+import functools
 import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallforge.complexes import (
     ComplexCategory,
     contractible_generators,
     direct_sum_cx,
     enumerate_complexes,
+    is_minimal,
 )
 from hallforge.errors import EulerUndefined
 from hallforge.hall import (
@@ -32,6 +36,7 @@ from hallforge.hall import (
     verify_associativity,
 )
 from hallforge.linalg import Field, Matrix, rank
+from hallforge.sdh import SDH
 from hallforge.quiver import (
     Quiver,
     Rep,
@@ -581,6 +586,18 @@ def _set(seq, i, x):
     seq[i] = x
 
 
+def _flip_at_vertex_1(rec):
+    # on A2 1 -> 2 the target's arrow map carries vertex 1 injectively into
+    # vertex 2, so changing one entry of a differential's vertex-1 block
+    # leaves a map that is no representation morphism
+    for (comps, diffs), _ in rec["middles"]:
+        for _, blocks in diffs:
+            if blocks[0] and blocks[0][0]:
+                blocks[0][0][0] = 1 - blocks[0][0][0]
+                return rec
+    return None
+
+
 _CX_CORRUPTIONS = {
     "degree-outside-window": _damage_first_component(lambda c, b, r: c.append([99, [1, 0]])),
     "mults-wrong-length": _damage_first_component(lambda c, b, r: c[0][1].append(1)),
@@ -589,6 +606,7 @@ _CX_CORRUPTIONS = {
     "diff-wrong-shape": _damage_first_component(lambda c, b, r: r.pop()),
     "diff-missing-vertex": _damage_first_component(lambda c, b, r: b.pop()),
     "diff-entry-out-of-range": _damage_first_component(lambda c, b, r: _set(r[0], 0, 2)),
+    "diff-not-a-morphism": _flip_at_vertex_1,
     "count-zero": lambda rec: dict(rec, middles=[[enc, 0] for enc, _ in rec["middles"]]),
     "no-middles": lambda rec: dict(rec, middles=[]),
     "hom-not-power-of-q": lambda rec: dict(rec, hom=3 * rec["hom"]),
@@ -622,3 +640,72 @@ def test_malformed_complex_records_are_recomputed(corruption):
     assert damaged
     assert resolved_all(cache) == clean
     assert cache.data == clean_records  # each damaged record was replaced
+
+
+# ---- single damages of pair records ----
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_scalars(kind):
+    """(algebra, [(record as a cache file holds it, middle head, path)]):
+    one entry per int of a pair record, over every ordered pair of a small
+    grid of one backend."""
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+    if kind == "stable":
+        sdh = SDH(cat)
+        alg, ids = sdh.derived, sdh.stable_sample(max_total_dim=2)
+    else:
+        alg = HallAlgebra(RepBackend(A2, F2) if kind == "reps" else CxBackend(cat))
+        reg = alg.backend.registry
+        if kind == "reps":
+            enumerate_reps(A2, F2, (1, 1), registry=reg)
+        else:
+            enumerate_complexes(cat, max_total_dim=2, registry=reg)
+        ids = range(len(reg))
+    bk = alg.backend
+    out = []
+    for a_id, c_id in itertools.product(ids, repeat=2):
+        alg.ext_data(a_id, c_id)
+        a, c = bk.object(a_id), bk.object(c_id)
+        key = pair_key(bk.signature(), a.encoding(), c.encoding())
+        rec = json.loads(json.dumps(alg.cache.data[key]))
+        out.extend((rec, bk._middle_head(a, c), path) for path in _int_paths(rec))
+    return alg, out
+
+
+def _int_paths(value, path=()):
+    """The paths (list indices and object keys) to the ints of a JSON value."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _int_paths(value[k], path + (k,))
+    elif isinstance(value, list):
+        for i, x in enumerate(value):
+            yield from _int_paths(x, path + (i,))
+    elif type(value) is int:
+        yield path
+
+
+@pytest.mark.parametrize("kind", ["reps", "complexes", "stable"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_damaged_record_names_only_objects_read_accepts(kind, data):
+    # one scalar of a pair record (hom, a record field, a count, a degree,
+    # a multiplicity, a dimension or a matrix entry) set to an int in
+    # [-1, q] or a bool: the record is rejected, or each of its witnesses is
+    # an object the one reader accepts (and minimal, for the stable backend)
+    alg, scalars = _fuzz_scalars(kind)
+    bk = alg.backend
+    rec, head, (*outer, last) = data.draw(st.sampled_from(scalars))
+    bad = copy.deepcopy(rec)
+    target = bad
+    for k in outer:
+        target = target[k]
+    target[last] = data.draw(st.one_of(st.integers(-1, alg.q), st.booleans()))
+    resolved = alg._resolve(bad, head)
+    if resolved is None:
+        return
+    for obj, _ in resolved[1]:
+        assert bk.read(json.loads(json.dumps(bk.encode(obj)))) == obj
+        if kind == "stable":
+            assert is_minimal(obj)
+
