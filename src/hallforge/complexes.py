@@ -144,11 +144,16 @@ class ComplexCategory:
         return self._projs[i - 1]
 
     def rep_of(self, mults: tuple[int, ...]) -> Rep:
-        """Canonical rep of a multiplicity vector: P_1 copies, then P_2, ..."""
+        """Canonical rep of a multiplicity vector: P_1 copies, then P_2, ...
+
+        Raises SpecError, before building or caching anything, unless the
+        vector has one entry >= 0 per vertex."""
         mults = tuple(int(m) for m in mults)
         hit = self._rep_cache.get(mults)
         if hit is not None:
             return hit
+        if len(mults) != self.quiver.n or any(m < 0 for m in mults):
+            raise SpecError(f"bad multiplicity vector {list(mults)}")
         rep = Rep.zero(self.quiver, self.field)
         for i in range(1, self.quiver.n + 1):
             for _ in range(mults[i - 1]):
@@ -618,7 +623,7 @@ def _components(space: _MapSpace, vec: np.ndarray, field: Field) -> dict:
     matrices (degrees where it vanishes left out)."""
     out = {}
     for n in space.degrees:
-        mats = _unvec(field, vec, space.raw_offsets[n], space.shapes[n])
+        mats = _unvec(field, vec[np.newaxis], space.raw_offsets[n], space.shapes[n])[0]
         if any(not m.is_zero() for m in mats):
             out[n] = mats
     return out
@@ -980,9 +985,10 @@ def _solve_proj_mults(cat: ComplexCategory, dims: tuple[int, ...]) -> tuple[int,
 def _canonicalize_subcomplex(x: Complex, cols: dict) -> Complex:
     """Rebuild a degreewise direct summand as a canonical-basis complex.
 
-    cols[n] spans the summand's fibres inside x_n; the span is d-stable and
-    degreewise projective, so each degree is re-identified with the
-    canonical sum of projectives via an explicit isomorphism.
+    cols[n][v] lists int vectors spanning the summand's fibre at vertex v
+    inside x_n; the span is d-stable and degreewise projective, so each
+    degree is re-identified with the canonical sum of projectives via an
+    explicit isomorphism.
     """
     cat = x.cat
     field = cat.field
@@ -990,10 +996,15 @@ def _canonicalize_subcomplex(x: Complex, cols: dict) -> Complex:
     inclusions = {}
     for n in x.comps:
         c = cols[n]
-        if sum(m.cols for m in c) == 0:
+        if not any(c):
             continue
-        sub_reps[n] = _sub_rep(x.rep(n), c)
-        inclusions[n] = c
+        rep = x.rep(n)
+        sub_reps[n] = _sub_rep(rep, c)
+        # the spanning vectors as the columns of one matrix per vertex
+        inclusions[n] = tuple(
+            Matrix(field, np.array(vecs, dtype=np.int64).reshape(len(vecs), d).T)
+            for vecs, d in zip(c, rep.dims)
+        )
     comps = {}
     isos = {}
     for n, r in sub_reps.items():

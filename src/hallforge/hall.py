@@ -28,12 +28,10 @@ import json
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .config import Caps, DEFAULT_CAPS
 from .errors import EulerUndefined, SpecError, WindowOverflow
 from . import complexes as cx
-from .linalg import Field, Matrix
+from .linalg import Field, _matrix_of_rows
 from .quiver import (
     Quiver,
     Registry,
@@ -150,11 +148,6 @@ def _as_triple(c, q: int) -> tuple[int, int, int]:
 
 
 # ---- backends ----
-
-
-def _matrix_of_rows(field: Field, rows, r: int, c: int) -> Matrix:
-    """The r x c matrix whose Matrix.entries() are `rows`."""
-    return Matrix(field, np.array(rows, dtype=np.int64).reshape(r, c))
 
 
 def _by_encoding(objs) -> dict[tuple, list]:

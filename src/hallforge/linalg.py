@@ -1,9 +1,14 @@
 """Exact dense linear algebra over prime fields F_p, 2 <= p <= 97.
 
-Matrices wrap numpy int64 arrays with entries reduced mod p.  Every product
-of two entries fits comfortably in int64, so all arithmetic is exact.
-Elimination always picks the first nonzero pivot, making every routine
-deterministic.  No sparse formats, no extension fields.
+`Matrix` is the boundary type: an immutable numpy int64 array with entries
+reduced mod p, so every product of two entries fits in int64 and all
+arithmetic is exact.  Elimination runs on Python int rows instead
+(`_rref_rows`, Gauss-Jordan in place), because the systems here are tiny
+and numpy's per-call overhead would cost more than the arithmetic.  Every
+routine that row-reduces (rref, rank, kernel_basis, solve, solve_matrix)
+goes through that one elimination; the quiver layer calls it on its own
+constraint rows.  The reduced row echelon form is unique, so every result
+is deterministic.  No sparse formats, no extension fields.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class Matrix:
 
     def entries(self) -> tuple:
         """Tuple of row tuples; canonical encoding for hashing/files."""
-        return tuple(tuple(int(x) for x in row) for row in self.a)
+        return tuple(map(tuple, self.a.tolist()))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -108,58 +113,102 @@ class Matrix:
         return f"Matrix(F{self.field.p}, {self.a.tolist()})"
 
 
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    m = a % p
-    rows, cols = m.shape
+def _matrix_of_rows(field: Field, rows, r: int, c: int) -> Matrix:
+    """The r x c Matrix whose entries() are `rows` (a list may be empty)."""
+    return Matrix(field, np.array(rows, dtype=np.int64).reshape(r, c))
+
+
+def _rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[int, ...]:
+    """Bring `rows`, lists of ncols ints in [0, p), to reduced row echelon
+    form in place; return the pivot columns.
+
+    Gauss-Jordan elimination: in each column the first row at or below the
+    current one with a nonzero entry is swapped up, scaled to a leading 1
+    and cleared from every other row.  The reduced form of a matrix is
+    unique, so the choice of pivot row does not change the result.
+    """
+    n = len(rows)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(ncols):
+        if r == n:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
             continue
-        # first nonzero entry below/at row r is the pivot
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+        row = rows[i]
+        if i != r:
+            rows[i] = rows[r]
+        v = row[c]
+        if v != 1:
+            inv = pow(v, p - 2, p)
+            row = [x * inv % p for x in row]
+        rows[r] = row
+        for j in range(n):
+            if j != r:
+                f = rows[j][c]
+                if f:
+                    rows[j] = [(x - f * y) % p for x, y in zip(rows[j], row)]
         pivots.append(c)
         r += 1
-    return m, tuple(pivots)
+    return tuple(pivots)
+
+
+def _kernel_rows(red: list[list[int]], piv: tuple[int, ...], ncols: int, p: int) -> list[list[int]]:
+    """Basis of the null space of a matrix, read off its reduced rows `red`.
+
+    Each vector has a 1 in one free column and the pivot coordinates filled
+    by back-substitution; vectors come out in increasing free-column order.
+    """
+    pivset = set(piv)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(piv):
+            x = red[r][fc]
+            if x:
+                v[pc] = p - x
+        basis.append(v)
+    return basis
+
+
+def _solve_rows(a: list[list[int]], b: list[list[int]], acols: int, bcols: int, p: int):
+    """One solution X (acols rows of bcols ints) of a X = b over F_p, or
+    None if the system is inconsistent; a and b are rows with entries in
+    [0, p), acols and bcols wide."""
+    aug = [ra + rb for ra, rb in zip(a, b)]
+    piv = _rref_rows(aug, acols + bcols, p)
+    if piv and piv[-1] >= acols:
+        return None
+    x = [[0] * bcols for _ in range(acols)]
+    for r, pc in enumerate(piv):
+        x[pc] = aug[r][acols:]
+    return x
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    red, piv = _rref_array(np.array(m.a, dtype=np.int64), m.field.p)
-    return Matrix(m.field, red), piv
+    rows = m.a.tolist()
+    piv = _rref_rows(rows, m.cols, m.field.p)
+    return _matrix_of_rows(m.field, rows, m.rows, m.cols), piv
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_rref_rows(m.a.tolist(), m.cols, m.field.p))
 
 
 def kernel_basis(m: Matrix) -> list[np.ndarray]:
-    """Basis of the right null space {x : m x = 0}, deterministic order.
-
-    Each basis vector has a 1 in one free column and the pivot rows filled
-    by back-substitution; vectors come out in increasing free-column order.
-    """
-    red, piv = rref(m)
+    """Basis of the right null space {x : m x = 0}, deterministic order:
+    the vectors _kernel_rows reads off the reduced form."""
     p = m.field.p
-    free = [c for c in range(m.cols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = (-int(red.a[r, fc])) % p
-        basis.append(v)
-    return basis
+    rows = m.a.tolist()
+    piv = _rref_rows(rows, m.cols, p)
+    return [np.array(v, dtype=np.int64) for v in _kernel_rows(rows, piv, m.cols, p)]
 
 
 def solve(m: Matrix, b: np.ndarray) -> np.ndarray | None:
@@ -167,28 +216,16 @@ def solve(m: Matrix, b: np.ndarray) -> np.ndarray | None:
     b = np.asarray(b, dtype=np.int64).reshape(-1) % m.field.p
     if b.shape[0] != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = np.concatenate([m.a, b.reshape(-1, 1)], axis=1)
-    red, piv = _rref_array(aug, m.field.p)
-    if m.cols in piv:
-        return None
-    x = np.zeros(m.cols, dtype=np.int64)
-    for r, pc in enumerate(piv):
-        x[pc] = red[r, m.cols]
-    return x % m.field.p
+    x = _solve_rows(m.a.tolist(), [[y] for y in b.tolist()], m.cols, 1, m.field.p)
+    return None if x is None else np.array(x, dtype=np.int64).reshape(m.cols)
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     """One solution X of m X = b (columnwise), or None if inconsistent."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch in solve_matrix")
-    aug = np.concatenate([m.a, b.a], axis=1)
-    red, piv = _rref_array(aug, m.field.p)
-    if any(pc >= m.cols for pc in piv):
-        return None
-    x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    for r, pc in enumerate(piv):
-        x[pc, :] = red[r, m.cols:]
-    return Matrix(m.field, x)
+    x = _solve_rows(m.a.tolist(), b.a.tolist(), m.cols, b.cols, m.field.p)
+    return None if x is None else _matrix_of_rows(m.field, x, m.cols, b.cols)
 
 
 def block2x2(field: Field, tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:

@@ -25,6 +25,7 @@ assign ids in first-encounter order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,18 @@ from .errors import (
     ExtEnumCapExceeded,
     IsoEnumCapExceeded,
 )
-from .linalg import Field, Matrix, block2x2, kernel_basis, rank, rref, solve_matrix
+from .linalg import (
+    Field,
+    Matrix,
+    _kernel_rows,
+    _matrix_of_rows,
+    _rref_rows,
+    _solve_rows,
+    block2x2,
+    kernel_basis,
+    rank,
+    rref,
+)
 
 
 class Quiver:
@@ -160,65 +172,60 @@ def direct_sum(a: Rep, b: Rep) -> Rep:
     return middle_term(b, a, zero)
 
 
-def _hom_constraint_matrix(a: Rep, b: Rep) -> tuple[np.ndarray, list[int], list[tuple[int, int]]]:
-    """delta (g_v) = (g_head a_alpha - b_alpha g_tail).  Columns: row-major
-    vec of each g_v; rows: row-major f_alpha, arrow by arrow.
+def _hom_constraint_matrix(
+    a: Rep, b: Rep
+) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """delta (g_v) = (g_head a_alpha - b_alpha g_tail) as int rows mod p.
+    Columns: row-major vec of each g_v; rows: row-major f_alpha, arrow by
+    arrow.  The arrow matrices are read off the encodings.
 
-    Returns (matrix, vertex offsets, per-vertex shapes (rows, cols) of g_v).
+    Returns (rows, vertex offsets, per-vertex shapes (rows, cols) of g_v).
     """
     p = a.field.p
-    q = a.quiver
-    shapes = [(b.dims[v], a.dims[v]) for v in range(q.n)]
-    offs = [0, *itertools.accumulate(r * c for r, c in shapes)]
+    shapes = list(zip(b.dims, a.dims))
+    offs = [0, *itertools.accumulate(map(operator.mul, b.dims, a.dims))]
     total = offs[-1]
-    nrows = sum(b.dims[h - 1] * a.dims[t - 1] for t, h in q.arrows)
-    mat = np.zeros((nrows, total), dtype=np.int64)
-    r0 = 0
-    for i, (t, h) in enumerate(q.arrows):
-        bh, at = b.dims[h - 1], a.dims[t - 1]
-        if bh * at == 0:
-            continue
-        # row (i, j) of f_alpha; columns (r, s) of g_v as the last two axes.
-        # Each reshape takes whole rows or splits the last axis, so it is a
-        # view and the writes land in mat.
-        blk = mat[r0:r0 + bh * at].reshape(bh, at, total)
-        r0 += bh * at
-        # (g_h A)_ij = sum_s g_h[i, s] A[s, j]: A^T where r = i
-        ah = a.dims[h - 1]
-        gh = blk[:, :, offs[h - 1]:offs[h]].reshape(bh, at, bh, ah)
-        diag = np.arange(bh)
-        gh[diag, :, diag, :] += a.maps[i].a.T
-        # (B g_t)_ij = sum_r B[i, r] g_t[r, j]: -B where s = j
-        bt = b.dims[t - 1]
-        gt = blk[:, :, offs[t - 1]:offs[t]].reshape(bh, at, bt, at)
-        diag = np.arange(at)
-        gt[:, diag, :, diag] -= b.maps[i].a
-    mat %= p
-    return mat, offs, shapes
+    rows = []
+    for (t, h), am, bm in zip(a.quiver.arrows, a.encoding()[1], b.encoding()[1]):
+        ah, at, bt = a.dims[h - 1], a.dims[t - 1], b.dims[t - 1]
+        oh, ot = offs[h - 1], offs[t - 1]
+        # row (i, j) of f_alpha = g_h A - B g_t holds A[:, j] at g_h[i, :] and
+        # -B[i, :] at g_t[:, j]; t != h (the quiver is acyclic), so the two
+        # never overlap
+        acols = list(zip(*am)) if ah else [()] * at
+        for i, brow in enumerate(bm):
+            gi = oh + i * ah
+            negb = [-x % p for x in brow]
+            for j in range(at):
+                row = [0] * total
+                row[gi:gi + ah] = acols[j]
+                row[ot + j:ot + bt * at:at] = negb
+                rows.append(row)
+    return rows, offs, shapes
 
 
-def _unvec(field: Field, vec: np.ndarray, offs, shapes) -> tuple[Matrix, ...]:
-    out = []
-    for v, (r, c) in enumerate(shapes):
-        seg = vec[offs[v]:offs[v + 1]]
-        out.append(Matrix(field, seg.reshape(r, c)))
-    return tuple(out)
+def _unvec(field: Field, vecs: np.ndarray, offs, shapes) -> list[tuple[Matrix, ...]]:
+    """The Matrix tuples whose row-major entries are the rows of `vecs`
+    (k x offs[-1]): segment offs[i]:offs[i + 1] of each is a shapes[i]
+    matrix."""
+    k = len(vecs)
+    blocks = [vecs[:, offs[i]:offs[i + 1]].reshape(k, r, c) for i, (r, c) in enumerate(shapes)]
+    return [tuple(Matrix(field, blk[j]) for blk in blocks) for j in range(k)]
 
 
 def hom_basis(a: Rep, b: Rep) -> list[tuple[Matrix, ...]]:
     """Basis of the space of morphisms a -> b, as per-vertex matrix tuples."""
-    mat, offs, shapes = _hom_constraint_matrix(a, b)
+    rows, offs, shapes = _hom_constraint_matrix(a, b)
     if offs[-1] == 0:
         return []
-    ker = kernel_basis(Matrix(a.field, mat))
-    return [_unvec(a.field, v, offs, shapes) for v in ker]
+    piv = _rref_rows(rows, offs[-1], a.field.p)
+    ker = _kernel_rows(rows, piv, offs[-1], a.field.p)
+    return _unvec(a.field, np.array(ker, dtype=np.int64).reshape(len(ker), offs[-1]), offs, shapes)
 
 
 def hom_dim(a: Rep, b: Rep) -> int:
-    mat, offs, _ = _hom_constraint_matrix(a, b)
-    if offs[-1] == 0:
-        return 0
-    return offs[-1] - rank(Matrix(a.field, mat))
+    rows, offs, _ = _hom_constraint_matrix(a, b)
+    return offs[-1] - len(_rref_rows(rows, offs[-1], a.field.p))
 
 
 @dataclass
@@ -241,9 +248,12 @@ def ext1_space(a: Rep, c: Rep, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool =
     """
     field = a.field
     p = field.p
-    delta, _, _ = _hom_constraint_matrix(a, c)
-    z, g = delta.shape
-    piv = rref(Matrix(field, np.concatenate([delta, np.eye(z, dtype=np.int64)], axis=1)))[1]
+    delta, offs, _ = _hom_constraint_matrix(a, c)
+    z, g = len(delta), offs[-1]
+    for k, row in enumerate(delta):  # [delta | I], in place
+        row.extend([0] * z)
+        row[g + k] = 1
+    piv = _rref_rows(delta, g + z, p)
     assert len(piv) == z
     compl = [c0 - g for c0 in piv if c0 >= g]
     dim = len(compl)
@@ -258,13 +268,10 @@ def ext1_space(a: Rep, c: Rep, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool =
     # cocycle coordinates: f_alpha: a_tail -> c_head, row-major, arrow by arrow
     fshapes = [(c.dims[h - 1], a.dims[t - 1]) for t, h in a.quiver.arrows]
     foffs = [0, *itertools.accumulate(r * s for r, s in fshapes)]
-    reps = []
-    for coeffs in itertools.product(range(p), repeat=dim):
-        vec = np.zeros(z, dtype=np.int64)
-        for c0, pos in zip(coeffs, compl):
-            vec[pos] = c0
-        reps.append(_unvec(field, vec, foffs, fshapes))
-    return Ext1Space(dim, reps, hom)
+    coeffs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+    vecs = np.zeros((count, z), dtype=np.int64)
+    vecs[:, compl] = coeffs.reshape(count, dim)
+    return Ext1Space(dim, _unvec(field, vecs, foffs, fshapes), hom)
 
 
 def middle_term(a: Rep, c: Rep, f: tuple[Matrix, ...]) -> Rep:
@@ -326,64 +333,53 @@ def euler_exponent(quiver: Quiver, d1, d2) -> int:
 
 def _power_eventual(maps: tuple[Matrix, ...], total: int) -> tuple[Matrix, ...]:
     """phi^(2^k) with 2^k >= total; image/kernel then split the module."""
-    e = maps
-    k = 0
-    while (1 << k) < max(total, 1):
-        e = tuple(x @ x for x in e)
-        k += 1
-    return e
+    out = []
+    for x in maps:
+        e = x.a
+        for _ in range((max(total, 1) - 1).bit_length()):
+            e = e @ e % x.field.p
+        out.append(Matrix(x.field, e))
+    return tuple(out)
 
 
-def _sub_rep(m: Rep, cols: tuple[Matrix, ...]) -> Rep:
-    """Restrict m to the subrepresentation spanned by the given columns."""
-    dims = tuple(c.cols for c in cols)
+def _sub_rep(m: Rep, vecs: list[list[list[int]]]) -> Rep:
+    """Restrict m to the subrepresentation spanned at each vertex v by the
+    vectors vecs[v - 1] (independent, int lists of length m.dims[v - 1])."""
+    p = m.field.p
+    dims = tuple(len(vs) for vs in vecs)
     maps = []
-    for i, (t, h) in enumerate(m.quiver.arrows):
-        img = m.maps[i] @ cols[t - 1]
-        sol = solve_matrix(cols[h - 1], img)
+    for (t, h), am in zip(m.quiver.arrows, m.encoding()[1]):
+        # solve span_h X = m_alpha span_t, both sides as int rows
+        span_h = [[v[i] for v in vecs[h - 1]] for i in range(m.dims[h - 1])]
+        img = [[sum(x * y for x, y in zip(arow, v)) % p for v in vecs[t - 1]] for arow in am]
+        sol = _solve_rows(span_h, img, dims[h - 1], dims[t - 1], p)
         assert sol is not None, "subspace not arrow-stable"
-        maps.append(sol)
+        maps.append(_matrix_of_rows(m.field, sol, dims[h - 1], dims[t - 1]))
     return Rep(m.quiver, m.field, dims, maps)
 
 
-def _image_kernel_cols(e: tuple[Matrix, ...]) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Per vertex: columns spanning the image and the kernel of e_v."""
-    im_cols = []
-    ker_cols = []
+def _image_kernel_cols(e: tuple[Matrix, ...]) -> tuple[list, list]:
+    """Per vertex: int vectors spanning the image (the pivot columns of
+    e_v) and the kernel of e_v."""
+    im, ker = [], []
     for x in e:
         piv = rref(x)[1]
-        im_cols.append(Matrix(x.field, x.a[:, list(piv)]))
-        kb = kernel_basis(x)
-        ker_cols.append(
-            Matrix(x.field, np.stack(kb, axis=1) if kb else np.zeros((x.rows, 0), dtype=np.int64))
-        )
-    return tuple(im_cols), tuple(ker_cols)
+        im.append(x.a[:, list(piv)].T.tolist())
+        ker.append([v.tolist() for v in kernel_basis(x)])
+    return im, ker
 
 
 def _fitting_split(m: Rep, phi: tuple[Matrix, ...]) -> tuple[Rep, Rep] | None:
-    """Split m along the eventual image/kernel of phi, if proper."""
-    total = m.total_dim()
-    e = _power_eventual(phi, total)
-    r = sum(rank(x) for x in e)
-    if r == 0 or r == total:
+    """Split m along the eventual image/kernel of phi, if proper.
+
+    An automorphism (every phi_v of full rank) is never proper, so its
+    powers are not taken."""
+    if all(rank(x) == x.rows for x in phi):
         return None
-    im_cols, ker_cols = _image_kernel_cols(e)
-    return _sub_rep(m, im_cols), _sub_rep(m, ker_cols)
-
-
-def _is_scalar_endo(m: Rep, phi: tuple[Matrix, ...]) -> bool:
-    c = None
-    for v in range(m.quiver.n):
-        if m.dims[v] == 0:
-            continue
-        mat = phi[v].a
-        if not np.array_equal(mat, np.eye(m.dims[v], dtype=np.int64) * mat[0, 0] % m.field.p):
-            return False
-        if c is None:
-            c = int(mat[0, 0])
-        elif int(mat[0, 0]) != c:
-            return False
-    return True
+    im, ker = _image_kernel_cols(_power_eventual(phi, m.total_dim()))
+    if not any(im):
+        return None
+    return _sub_rep(m, im), _sub_rep(m, ker)
 
 
 def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
@@ -402,29 +398,20 @@ def decompose(m: Rep, caps: Caps = DEFAULT_CAPS) -> list[Rep]:
     if d == 1:
         return [m]
     p = m.field.p
-
-    def try_phi(phi):
-        if _is_scalar_endo(m, phi):
-            return None
-        return _fitting_split(m, phi)
-
     if p**d <= caps.max_endo_enum:
         for coeffs in itertools.product(range(p), repeat=d):
             if not any(coeffs):
                 continue
-            phi = _combine_rect(m, m, basis, coeffs)
-            split = try_phi(phi)
+            split = _fitting_split(m, _combine_rect(m, m, basis, coeffs))
             if split is not None:
                 a, b = split
                 return _cached_factors(a, caps) + _cached_factors(b, caps)
         return [m]
-    # sampled search: single basis vectors, then pairwise sums
-    candidates = list(basis)
-    for i in range(d):
-        for j in range(i + 1, d):
-            candidates.append(tuple(x + y for x, y in zip(basis[i], basis[j])))
-    for phi in candidates:
-        split = try_phi(phi)
+    # sampled search: single basis vectors, then pairwise sums, built only
+    # as far as the search gets (the first candidate almost always splits)
+    pairs = (tuple(x + y for x, y in zip(f, g)) for f, g in itertools.combinations(basis, 2))
+    for phi in itertools.chain(basis, pairs):
+        split = _fitting_split(m, phi)
         if split is not None:
             a, b = split
             return _cached_factors(a, caps) + _cached_factors(b, caps)
@@ -591,20 +578,24 @@ def enumerate_reps(
     """Register every iso class of reps with dims <= dim_cap (componentwise).
 
     Deterministic: dimension vectors in graded-lex order, matrix tuples in
-    lexicographic entry order, classes registered on first encounter.
+    lexicographic entry order, classes registered on first encounter.  Every
+    vector's matrix tuples are counted against caps.max_enum before any is
+    built, so an overflow raises before the first classification.
     """
     if registry is None:
         registry = rep_registry(caps)
     p = field.p
+    slices = []
     for dims in dim_vectors_upto(dim_cap):
         sizes = [dims[h - 1] * dims[t - 1] for t, h in quiver.arrows]
-        total_entries = sum(sizes)
-        count = p**total_entries
+        count = p**sum(sizes)
         if count > caps.max_enum:
             raise EnumCapExceeded(
                 f"{count} matrix tuples at dims {dims} exceed cap {caps.max_enum}"
             )
-        for flat in itertools.product(range(p), repeat=total_entries):
+        slices.append((dims, sizes))
+    for dims, sizes in slices:
+        for flat in itertools.product(range(p), repeat=sum(sizes)):
             maps = []
             pos = 0
             for i, (t, h) in enumerate(quiver.arrows):

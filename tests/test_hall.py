@@ -25,7 +25,7 @@ from hallforge.complexes import (
     enumerate_complexes,
     is_minimal,
 )
-from hallforge.errors import EulerUndefined
+from hallforge.errors import EulerUndefined, SpecError
 from hallforge.hall import (
     CxBackend,
     HallAlgebra,
@@ -709,3 +709,17 @@ def test_a_damaged_record_names_only_objects_read_accepts(kind, data):
         if kind == "stable":
             assert is_minimal(obj)
 
+
+
+def test_rejected_multiplicities_are_not_built_or_cached():
+    # a multiplicity vector one entry too long, as an element file could
+    # hold it: read rejects it before any representation is built for it,
+    # so the category's cache of canonical reps does not keep it
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+    bk = CxBackend(cat)
+    with pytest.raises(SpecError):
+        bk.read([[[0, [1, 0, 5]], [1, [1, 0]]], [[0, [[[0]], [[0]]]]]])
+    assert (1, 0, 5) not in cat._rep_cache
+    with pytest.raises(SpecError):
+        bk.read([[[0, [1, -1]], [1, [1, 0]]], [[0, [[[0]], [[0]]]]]])
+    assert (1, -1) not in cat._rep_cache

@@ -1,4 +1,5 @@
-"""Exact F_p linear algebra, checked against brute-force enumeration."""
+"""Exact F_p linear algebra, checked against brute-force enumeration and
+against the numpy elimination it replaced."""
 
 import itertools
 
@@ -162,3 +163,105 @@ def test_rref_is_row_equivalent_and_reduced(m):
         assert not np.any(np.delete(a[:, c], row))
         if k:
             assert c > piv[k - 1]
+
+
+# ---- the int-row elimination against the numpy one it replaced ----
+
+
+def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The numpy per-column elimination linalg used before its int-row
+    Gauss-Jordan; kept as the reference body."""
+    m = a % p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        # first nonzero entry below/at row r is the pivot
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        inv = pow(int(m[r, c]), p - 2, p)
+        m[r] = (m[r] * inv) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - np.outer(col, m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def _reference_kernel(a: np.ndarray, p: int) -> list[np.ndarray]:
+    red, piv = _rref_array(a, p)
+    basis = []
+    for fc in [c for c in range(a.shape[1]) if c not in piv]:
+        v = np.zeros(a.shape[1], dtype=np.int64)
+        v[fc] = 1
+        for r, pc in enumerate(piv):
+            v[pc] = (-int(red[r, fc])) % p
+        basis.append(v)
+    return basis
+
+
+def _reference_solve_matrix(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """One solution X of a X = b, columnwise, or None if inconsistent."""
+    n = a.shape[1]
+    red, piv = _rref_array(np.concatenate([a, b], axis=1), p)
+    if any(pc >= n for pc in piv):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for r, pc in enumerate(piv):
+        x[pc, :] = red[r, n:]
+    return x
+
+
+@st.composite
+def _system(draw):
+    """(p, m, b, B): a matrix over F_p built from any ints, negative ones and
+    ones >= p included, empty shapes included, with a right-hand side and a
+    block of them; each is consistent or arbitrary."""
+    p = draw(st.sampled_from([2, 3, 5, 97]))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 30))
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p), st.integers(-(10**6), 10**6))
+    a = np.array(
+        draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, cols)
+    k = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(entry, min_size=cols * k, max_size=cols * k)), dtype=np.int64)
+        rhs = a @ x.reshape(cols, k)
+    else:
+        rhs = np.array(draw(st.lists(entry, min_size=rows * k, max_size=rows * k)), dtype=np.int64)
+    rhs = rhs.reshape(rows, k)
+    return p, Matrix(Field(p), a), rhs
+
+
+@given(_system())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_elimination_matches_numpy_reference(system):
+    p, m, rhs = system
+    ref, ref_piv = _rref_array(np.array(m.a), p)
+    red, piv = rref(m)
+    assert piv == ref_piv
+    assert red.entries() == Matrix(m.field, ref).entries()
+    assert rank(m) == len(ref_piv)
+    ker, ref_ker = kernel_basis(m), _reference_kernel(np.array(m.a), p)
+    assert len(ker) == len(ref_ker)
+    for v, w in zip(ker, ref_ker):
+        assert v.dtype == w.dtype and v.tolist() == w.tolist()
+    want = _reference_solve_matrix(np.array(m.a), rhs % p, p)
+    got = solve_matrix(m, Matrix(m.field, rhs))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.entries() == Matrix(m.field, want).entries()
+    for j in range(rhs.shape[1]):
+        want = _reference_solve_matrix(np.array(m.a), rhs[:, j:j + 1] % p, p)
+        got = solve(m, rhs[:, j])
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == np.int64 and got.tolist() == want[:, 0].tolist()

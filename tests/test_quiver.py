@@ -330,6 +330,23 @@ def test_enumerate_cap_exceeded():
         enumerate_reps(A2, F3, (2, 2), caps=Caps(max_enum=10))
 
 
+def test_enumerate_counts_every_vector_before_classifying():
+    # only the last vector in graded-lex order, (2, 2) with 2^4 matrix
+    # tuples, exceeds the cap: it raises before the first classification
+    caps = Caps(max_enum=8)
+    reg = rep_registry(caps)
+    seen = []
+    classify = reg.classify
+    reg.classify = lambda obj: seen.append(obj) or classify(obj)
+    with pytest.raises(EnumCapExceeded, match=r"^16 matrix tuples at dims \(2, 2\) exceed cap 8$"):
+        enumerate_reps(A2, F2, (2, 2), caps=caps, registry=reg)
+    assert seen == []
+    # below that, nothing overflows: one classification per matrix tuple,
+    # 2^(d1 d2) at each dims (d1, d2), and the 8 classes S1^a S2^b P1^c
+    assert len(enumerate_reps(A2, F2, (2, 1), caps=caps, registry=reg)) == 8
+    assert len(seen) == 1 + 1 + 1 + 2 + 1 + 4
+
+
 def test_registry_id_stability():
     reg = enumerate_reps(A2, F2, (1, 1))
     P1 = proj_indec(A2, F2, 1)
@@ -552,6 +569,80 @@ def test_memoised_factors_recomputed_for_other_caps(monkeypatch):
     assert len(memo) == 3
 
 
+def _eager_decompose(m, caps=Caps()):
+    """decompose as it was before its sampled candidates were built lazily:
+    the single basis vectors and all pairwise sums go into one list before
+    the first is tried.  Kept as the reference body."""
+    if m.total_dim() == 0:
+        return []
+    basis = hom_basis(m, m)
+    d = len(basis)
+    if d == 1:
+        return [m]
+    p = m.field.p
+    if p**d <= caps.max_endo_enum:
+        for coeffs in itertools.product(range(p), repeat=d):
+            if not any(coeffs):
+                continue
+            phi = quiver_mod._combine_rect(m, m, basis, coeffs)
+            split = quiver_mod._fitting_split(m, phi)
+            if split is not None:
+                a, b = split
+                return quiver_mod._cached_factors(a, caps) + quiver_mod._cached_factors(b, caps)
+        return [m]
+    candidates = list(basis)
+    for i in range(d):
+        for j in range(i + 1, d):
+            candidates.append(tuple(x + y for x, y in zip(basis[i], basis[j])))
+    for phi in candidates:
+        split = quiver_mod._fitting_split(m, phi)
+        if split is not None:
+            a, b = split
+            return quiver_mod._cached_factors(a, caps) + quiver_mod._cached_factors(b, caps)
+    raise EndoSearchCapExceeded("sampling found no splitting")
+
+
+def test_sampled_candidates_match_the_eager_list(monkeypatch):
+    # S1^3 (+) S2^3 (+) S3^3 on A2 with a disjoint vertex: End has dimension
+    # 27, so 2^27 endomorphisms exceed the cap and the top levels sample
+    q = Quiver(3, [(1, 2)])
+    m = Rep.zero(q, F2)
+    for v in (1, 2, 3):
+        for _ in range(3):
+            m = direct_sum(m, Rep.simple(q, F2, v))
+    assert hom_dim(m, m) == 27 and 2**27 > Caps().max_endo_enum
+    split = quiver_mod._fitting_split
+    add = Matrix.__add__
+
+    def run(decomp):
+        """Factor encodings, the _fitting_split calls made (object and
+        candidate entries, in order) and the matrix sums built."""
+        calls, sums = [], []
+
+        def recording_split(x, phi):
+            calls.append((x.encoding(), tuple(g.entries() for g in phi)))
+            return split(x, phi)
+
+        def counting_add(x, y):
+            sums.append(1)
+            return add(x, y)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(quiver_mod, "_fitting_split", recording_split)
+            mp.setattr(quiver_mod, "decompose", decomp)
+            mp.setattr(Matrix, "__add__", counting_add)
+            facs = decomp(_fresh(m))
+        return _encodings(facs), calls, len(sums)
+
+    lazy_facs, lazy_calls, lazy_sums = run(quiver_mod.decompose)
+    eager_facs, eager_calls, eager_sums = run(_eager_decompose)
+    assert lazy_facs == eager_facs
+    assert sorted(f[0] for f in lazy_facs) == [(0, 0, 1)] * 3 + [(0, 1, 0)] * 3 + [(1, 0, 0)] * 3
+    assert lazy_calls == eager_calls
+    # the first candidate splits at every level, so no pairwise sum is built
+    assert lazy_sums == 0 < eager_sums
+
+
 def test_capped_factor_search_is_not_memoised(monkeypatch):
     kr = Quiver(2, [(1, 2), (1, 2)])
     # regular Kronecker module of length 2: indecomposable, End = k[x]/x^2
@@ -707,10 +798,12 @@ def test_hom_constraint_matrix_matches_kron_reference(grid):
     objs = enumerate_reps(quiver, field, cap).objs
     assert any(o.total_dim() == 0 for o in objs)
     for a, c in itertools.product(objs, repeat=2):
-        mat, offs, shapes = quiver_mod._hom_constraint_matrix(a, c)
+        rows, offs, shapes = quiver_mod._hom_constraint_matrix(a, c)
         ref, ref_offs, ref_shapes = _kron_constraint_matrix(a, c)
-        assert mat.dtype == ref.dtype and mat.shape == ref.shape
-        assert np.array_equal(mat, ref)
+        # Python int rows, entry for entry those of the reference array
+        assert all(type(x) is int for row in rows for x in row)
+        assert [len(row) for row in rows] == [ref.shape[1]] * ref.shape[0]
+        assert rows == ref.tolist()
         assert (offs, shapes) == (ref_offs, ref_shapes)
 
 
