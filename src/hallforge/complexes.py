@@ -104,6 +104,9 @@ class ComplexCategory:
             self.lo = self.hi = None
             self.headroom = None
         self._projs = tuple(proj_indec(quiver, field, i) for i in range(1, quiver.n + 1))
+        # dim Hom(P_i, P_j): the quiver's Euler form, as Ext^1(P, -) = 0
+        self._proj_homs = [[euler_exponent(quiver, p.dims, r.dims) for r in self._projs]
+                           for p in self._projs]
         self._rep_cache: dict[tuple[int, ...], Rep] = {}
         self._zero_mults = (0,) * quiver.n
         # Memos of what depends only on multiplicity vectors, filled on first
@@ -835,12 +838,8 @@ def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
 
 def _proj_hom_dim(cat: ComplexCategory, src, tgt) -> int:
     """dim Hom(P^src, P^tgt) for multiplicity vectors src and tgt, extended
-    bilinearly to integer vectors: as Ext^1(P, -) = 0, the quiver's Euler
-    form of the dimension vectors."""
-    def dims(mults):
-        return [sum(m * p.dims[v] for m, p in zip(mults, cat._projs)) for v in range(cat.quiver.n)]
-
-    return euler_exponent(cat.quiver, dims(src), dims(tgt))
+    bilinearly to integer vectors: one integer bilinear form per category."""
+    return sum(a * h * b for a, row in zip(src, cat._proj_homs) if a for h, b in zip(row, tgt))
 
 
 def euler_exponent_cx(x: Complex, y: Complex) -> int:

@@ -338,11 +338,11 @@ class StableBackend(CxBackend):
     derived Hall product's backend.
 
     A pair's record holds |stable Hom(a, c)| as its hom, the negative-Ext
-    exponent sum_{i=1}^{w+1} (-1)^(i+1) dim H^-i of the Hom complex (w the
-    window width) and, for each distinct encoding of a stripped middle, the
-    number of Ext^1 classes that give it, in enumeration order.  Classifying
-    these witnesses in that order grows the registry exactly as classifying
-    every stripped middle would.
+    exponent sum_{i=1}^{w} (-1)^(i+1) dim H^-i of the Hom complex (w the
+    window width, beyond which Hom^-i = 0) and, for each distinct encoding
+    of a stripped middle, the number of Ext^1 classes that give it, in
+    enumeration order.  Classifying these witnesses in that order grows the
+    registry exactly as classifying every stripped middle would.
     """
 
     record_fields = ("neg_ext",)
@@ -358,7 +358,7 @@ class StableBackend(CxBackend):
         Hom(a, c[-i]), of the pair's Hom complex."""
         hc = cx._hom_complex(a, c)
         width = self.cat.hi - self.cat.lo
-        neg_ext = sum((-1) ** (i + 1) * hc.dim(-i) for i in range(1, width + 2))
+        neg_ext = sum((-1) ** (i + 1) * hc.dim(-i) for i in range(1, width + 1))
         return cx.stable_hom_card(a, c), neg_ext
 
     def _group(self, mids: list) -> list[tuple[cx.Complex, int]]:
@@ -574,53 +574,59 @@ class HallAlgebra:
         """Bilinear product: a pair [A], [C] with coefficients ca, cc adds
         ca cc v^e |Ext^1(A, C)_B| / |Hom(A, C)| to each middle [B], with e
         twice the sum of the record fields (the stable backend's negative-Ext
-        exponent), plus e(A, C) when `twisted`.
-
-        Every term is an integer triple (A, B, D) standing for (A + B v) / D
-        with D > 0, and each middle accumulates one triple; a coefficient
-        is built once, at the end: a SqrtExt when the product is twisted or
-        an input coefficient is a SqrtExt, a Fraction otherwise.  Zero
-        coefficients are dropped.
+        exponent), plus e(A, C) when `twisted`.  Zero coefficients are
+        dropped; the rest are SqrtExt scalars when the product is twisted or
+        an input coefficient is a SqrtExt, Fractions otherwise.
         """
         bk, q = self.backend, self.q
-        xs = [(i, _as_triple(c, q)) for i, c in sorted(x.items())]
         ys = [(i, _as_triple(c, q)) for i, c in sorted(y.items())]
-        acc: dict[int, list[int]] = {}
-        for a_id, (a1, b1, d1) in xs:
-            for c_id, (a2, b2, d2) in ys:
+        acc: dict = {}
+        for a_id, ta in [(i, _as_triple(c, q)) for i, c in sorted(x.items())]:
+            for c_id, tc in ys:
                 hom, middles, *fields = self.ext_data(a_id, c_id)
-                num_a = a1 * a2 + q * b1 * b2
-                num_b = a1 * b2 + b1 * a2
-                den = d1 * d2 * hom
                 e = 2 * sum(fields)  # q^k = v^2k per record field k
                 if twisted:
                     e += bk.euler_exp(bk.object(a_id), bk.object(c_id))
-                if e & 1:  # (A + B v) v = q B + A v
-                    num_a, num_b = q * num_b, num_a
-                k = e >> 1  # v^e = q^k, times v when e is odd
-                if k > 0:
-                    num_a, num_b = num_a * q**k, num_b * q**k
-                elif k < 0:
-                    den *= q**-k
-                for b_id, n in middles:
-                    t = acc.get(b_id)
-                    if t is None:
-                        acc[b_id] = [n * num_a, n * num_b, den]
-                    else:  # over the lcm of the two denominators
-                        g = gcd(t[2], den)
-                        t[0] = t[0] * (den // g) + n * num_a * (t[2] // g)
-                        t[1] = t[1] * (den // g) + n * num_b * (t[2] // g)
-                        t[2] = t[2] // g * den
-        radical = twisted or any(isinstance(c, SqrtExt) for c in [*x.values(), *y.values()])
-        out: dict = {}
-        for b_id, (num_a, num_b, den) in acc.items():
-            if num_a == 0 and num_b == 0:
-                continue
-            if radical:
-                out[b_id] = SqrtExt(q, Fraction(num_a, den), Fraction(num_b, den))
-            else:
-                out[b_id] = Fraction(num_a, den)
-        return out
+                _accumulate(acc, middles, ta, tc, hom, e, q)
+        return _coefficients(acc, q, x, y, twisted)
+
+
+def _accumulate(acc: dict, middles, ta: tuple, tc: tuple, hom: int, e: int, q: int) -> None:
+    """Add n ca cc v^e / hom to acc[key] for each (key, n) of `middles`,
+    ca and cc the integer triples ta and tc: the accumulation step of every
+    product (`hall`, `twisted`, `dh`, `sdh`, `sdh-tw`).  A triple (A, B, D),
+    D > 0, stands for (A + B v) / D, v^2 = q; each key of `acc` holds one,
+    over the lcm of the denominators added to it."""
+    (a1, b1, d1), (a2, b2, d2) = ta, tc
+    num_a = a1 * a2 + q * b1 * b2
+    num_b = a1 * b2 + b1 * a2
+    den = d1 * d2 * hom
+    if e & 1:  # (A + B v) v = q B + A v
+        num_a, num_b = q * num_b, num_a
+    k = e >> 1  # v^e = q^k, times v when e is odd
+    if k > 0:
+        num_a, num_b = num_a * q**k, num_b * q**k
+    elif k < 0:
+        den *= q**-k
+    for key, n in middles:
+        t = acc.get(key)
+        if t is None:
+            acc[key] = [n * num_a, n * num_b, den]
+        else:  # over the lcm of the two denominators
+            g = gcd(t[2], den)
+            t[0] = t[0] * (den // g) + n * num_a * (t[2] // g)
+            t[1] = t[1] * (den // g) + n * num_b * (t[2] // g)
+            t[2] = t[2] // g * den
+
+
+def _coefficients(acc: dict, q: int, x: dict, y: dict, twisted: bool = False) -> dict:
+    """{key: coefficient} of the _accumulate accumulator of a product x y,
+    zeros dropped: SqrtExt scalars over q when the product is Euler-twisted
+    or an input coefficient is a SqrtExt, Fractions otherwise (B is 0)."""
+    if twisted or any(isinstance(c, SqrtExt) for c in [*x.values(), *y.values()]):
+        return {k: SqrtExt(q, Fraction(a, d), Fraction(b, d)) for k, (a, b, d) in acc.items()
+                if a or b}
+    return {k: Fraction(a, d) for k, (a, _, d) in acc.items() if a}
 
 
 def verify_associativity(

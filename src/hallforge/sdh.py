@@ -11,7 +11,12 @@ relative Euler pairing and the product it twists, the corrected product on
 stable classes with negative-ext factors, and verification routines for
 freeness and for the tensor-factorization comparison.
 
-Elements are dicts mapping (gamma, stable_id) -> Fraction.
+Both localized products are torus bookkeeping over the strict product:
+every scalar they add to a strict Hall number is a power of q (the
+commutation, the torus pairings, |Hom(K_eps, u)| and the relative Euler
+twist), so they read the strict pair records as exponents and sum through
+`hall`'s integer accumulator, and each strict class is rewritten onto the
+basis once per run.  Elements are dicts mapping (gamma, stable_id) -> Fraction.
 
 Pairings are read off degrees, with dim Hom(x_m, y_n) between projectives
 from the quiver's Euler form (Ext^1(P, -) = 0).  The Hom complex
@@ -44,6 +49,7 @@ from .errors import (
     WindowOverflow,
 )
 from .hall import CxBackend, HallAlgebra, MemoryCache, StableBackend
+from .hall import _accumulate, _as_triple, _coefficients
 
 
 class QuantumTorus:
@@ -53,7 +59,7 @@ class QuantumTorus:
     pairing is the hom cardinality extended biadditively to exponents.
     """
 
-    def __init__(self, cat: ComplexCategory, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, cat: ComplexCategory):
         self.cat = cat
         self.q = cat.field.p
         self.gens = contractible_generators(cat)
@@ -93,9 +99,6 @@ class QuantumTorus:
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a: tuple) -> tuple:
-        return tuple(-x for x in a)
-
     def pairing_exponent(self, gamma: tuple, delta: tuple) -> int:
         return sum(
             cg * ch * self.pairing_exp[g][h]
@@ -113,13 +116,14 @@ class SDH:
         self.cat = cat
         self.caps = caps
         self.q = cat.field.p
-        self.torus = QuantumTorus(cat, caps)
+        self.torus = QuantumTorus(cat)
         # one cache for both algebras: stable keys never equal strict ones
         cache = cache if cache is not None else MemoryCache()
         self.strict = HallAlgebra(CxBackend(cat, caps), cache=cache)
         self.derived = HallAlgebra(StableBackend(cat, caps), cache=cache)
         self.stable = self.derived.backend.registry
         self.zero_class = self.stable.classify(cat.zero_complex())
+        self._normal: dict[int, tuple] = {}  # strict id -> _rewrite of its object
 
     # -- hom bookkeeping --
 
@@ -128,21 +132,16 @@ class SDH:
         dims = self.torus.hom_from(self.stable.object(m_id))
         return Fraction(self.q) ** sum(g * d for g, d in zip(gamma, dims))
 
-    def commutation(self, delta: tuple, m_id: int) -> Fraction:
-        """Scalar in [m] ⋄ t_delta = commutation(delta, m) t_delta ⋄ [m].
-
-        Equals the ratio |Hom(K_delta, m)| / |Hom(m, K_delta)|.
-        """
+    def commutation_exponent(self, delta: tuple, m_id: int) -> int:
+        """c in [m] ⋄ t_delta = q^c t_delta ⋄ [m]: log_q of the ratio
+        |Hom(K_delta, m)| / |Hom(m, K_delta)|."""
+        if not any(delta):
+            return 0
         m = self.stable.object(m_id)
-        fwd = self.torus.hom_from(m)
-        rev = self.torus.hom_to(m)
-        e = sum(d * (f - r) for d, f, r in zip(delta, fwd, rev))
-        return Fraction(self.q) ** e
+        fwd, rev = self.torus.hom_from(m), self.torus.hom_to(m)
+        return sum(d * (f - r) for d, f, r in zip(delta, fwd, rev))
 
     # -- elements --
-
-    def zero(self) -> dict:
-        return {}
 
     def basis(self, gamma: tuple, m_id: int) -> dict:
         if len(gamma) != self.torus.rank:
@@ -155,25 +154,35 @@ class SDH:
     def torus_inverse(self, gamma: tuple) -> dict:
         """Inverse of t_gamma: pairing(gamma, gamma)^-1 t_{-gamma}."""
         inv = 1 / self.torus.pairing(gamma, gamma)
-        return {(self.torus.neg(gamma), self.zero_class): inv}
+        return {(tuple(-g for g in gamma), self.zero_class): inv}
 
     def normalize(self, x: Complex) -> dict:
         """Rewrite the class of an object onto the basis.
 
         x = K_gamma ⊕ m gives [x] = |Hom(K_gamma, m)| t_gamma ⋄ [m].
         """
+        gamma, m_id, h = self._rewrite(x)
+        return {(gamma, m_id): Fraction(self.q) ** h}
+
+    def _rewrite(self, x: Complex) -> tuple:
+        """(gamma, m_id, log_q |Hom(K_gamma, m)|) with x = K_gamma ⊕ m."""
         m, exps = cx.strip_contractibles(x)
         gamma = self.torus.vector(exps)
-        m_id = self.stable.classify(m)
-        return {(gamma, m_id): self.gen_hom(gamma, m_id)}
+        h = sum(g * d for g, d in zip(gamma, self.torus.hom_from(m)))
+        return gamma, self.stable.classify(m), h
+
+    def _normal_form(self, sid: int) -> tuple:
+        """_rewrite of a strict class's object, once per strict id."""
+        if sid not in self._normal:
+            self._normal[sid] = self._rewrite(self.strict.backend.object(sid))
+        return self._normal[sid]
 
     def normalize_element(self, element: dict) -> dict:
         """Rewrite a strict-class element {strict_id: coeff} onto the basis."""
         out: dict = {}
         for sid in sorted(element):
-            co = element[sid]
-            for key, val in self.normalize(self.strict.backend.object(sid)).items():
-                out[key] = out.get(key, Fraction(0)) + co * val
+            gamma, m_id, h = self._normal_form(sid)
+            out[gamma, m_id] = out.get((gamma, m_id), 0) + element[sid] * Fraction(self.q) ** h
         return _prune(out)
 
     def stable_class(self, x: Complex) -> int:
@@ -194,50 +203,47 @@ class SDH:
                 acc = cx.direct_sum_cx(acc, self.torus.gens[k])
         return acc
 
-    def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return _prune(out)
-
-    def scale(self, c, x: dict) -> dict:
-        if c == 0:
-            return {}
-        return {k: c * v for k, v in x.items()}
-
-    def equal(self, x: dict, y: dict) -> bool:
-        return _prune(dict(x)) == _prune(dict(y))
+    # elements are added, scaled and compared as the strict algebra's are
+    add, scale, equal = HallAlgebra.add, HallAlgebra.scale, HallAlgebra.equal
 
     # -- products --
 
     def product(self, x: dict, y: dict) -> dict:
-        """Localized Hall product on the torus-module basis.
+        """Localized Hall product on the torus-module basis."""
+        return self._product(x, y, twisted=False)
 
-        Torus parts move left through object parts via the commutation
-        scalar, object parts multiply in the strict algebra, and every
-        resulting class is rewritten onto the basis.
+    def tw_product(self, x: dict, y: dict) -> dict:
+        """Product twisted by the relative Euler pairing.
+
+        Torus elements are central for this product.
         """
-        out: dict = {}
-        for (gamma, m_id), c1 in sorted(x.items()):
-            m_elem = self.strict.basis(self.stable.object(m_id))
-            for (delta, s_id), c2 in sorted(y.items()):
-                pref = (
-                    c1
-                    * c2
-                    * self.commutation(delta, m_id)
-                    / self.torus.pairing(gamma, delta)
-                )
-                gd = self.torus.add(gamma, delta)
-                s_elem = self.strict.basis(self.stable.object(s_id))
-                strict_prod = self.strict.product(m_elem, s_elem)
-                for b_id in sorted(strict_prod):
-                    coeff = strict_prod[b_id]
-                    rewritten = self.normalize(self.strict.backend.object(b_id))
-                    ((eps, u_id), homc), = rewritten.items()
-                    key = (self.torus.add(gd, eps), u_id)
-                    term = pref * coeff * homc / self.torus.pairing(gd, eps)
-                    out[key] = out.get(key, Fraction(0)) + term
-        return _prune(out)
+        return self._product(x, y, twisted=True)
+
+    def _product(self, x: dict, y: dict, twisted: bool) -> dict:
+        """Torus bookkeeping over the strict product, every scalar a power
+        of q: t_gamma ⋄ [m] times t_delta ⋄ [s] is q^c / pairing(gamma,
+        delta) t_{gamma+delta} ⋄ [m] ⋄ [s], c the commutation exponent
+        of (delta, m), times the relative Euler pairing of the two keys
+        when `twisted`.  A strict middle K_eps ⊕ u of [m] ⋄ [s] adds its
+        Hall number times |Hom(K_eps, u)| / pairing(gamma+delta, eps) to
+        the term of (gamma+delta+eps, u), through hall's accumulator.
+        """
+        q, torus, strict, obj = self.q, self.torus, self.strict, self.stable.object
+        ys = [(k, _as_triple(c, q)) for k, c in sorted(y.items())]
+        acc: dict = {}
+        for (gamma, m_id), ta in [(k, _as_triple(c, q)) for k, c in sorted(x.items())]:
+            sm = strict.backend.classify(obj(m_id))
+            for (delta, s_id), tc in ys:
+                e = self.commutation_exponent(delta, m_id) - torus.pairing_exponent(gamma, delta)
+                if twisted:
+                    e += self._rel_exponent_keys((gamma, m_id), (delta, s_id))
+                gd = torus.add(gamma, delta)
+                hom, middles = strict.ext_data(sm, strict.backend.classify(obj(s_id)))
+                for b_id, n in sorted(middles):  # the stable registry grows in this order
+                    eps, u_id, h = self._normal_form(b_id)
+                    k = e + h - torus.pairing_exponent(gd, eps)
+                    _accumulate(acc, [((torus.add(gd, eps), u_id), n)], ta, tc, hom, 2 * k, q)
+        return _coefficients(acc, q, x, y)
 
     # -- relative Euler pairing and the twisted product --
 
@@ -267,25 +273,12 @@ class SDH:
         gens = [(self.torus.gens[k], g) for k, g in zip(self.torus.keys, gamma)]
         return _class_sum([(self.stable.object(m_id), 1)] + gens)
 
-    def tw_product(self, x: dict, y: dict) -> dict:
-        """Product twisted by the relative Euler pairing.
-
-        Torus elements are central for this product.
-        """
-        out: dict = {}
-        for kx, c1 in sorted(x.items()):
-            for ky, c2 in sorted(y.items()):
-                tw = Fraction(self.q) ** self._rel_exponent_keys(kx, ky)
-                part = self.product({kx: c1 * tw}, {ky: c2})
-                out = self.add(out, part)
-        return out
-
     # -- product on stable classes with negative-ext corrections --
 
     def dh_product(self, x: dict, y: dict) -> dict:
         """Product of {stable_id: coeff} elements: `derived`'s counting
         product, whose pair records hold the stable hom cardinality and the
-        negative-Ext exponent sum_{i=1}^{w+1} (-1)^(i+1) dim stable
+        negative-Ext exponent sum_{i=1}^{w} (-1)^(i+1) dim stable
         Hom(a, c[-i]), w the window width, and whose middles are classified
         stably.  Bounded windows only."""
         if self.cat.kind == "periodic":

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hallforge.cli as cli
-from hallforge import files, hall
+from hallforge import complexes as cx, files, hall
 from hallforge.complexes import Complex, contractible_generators, direct_sum_cx, is_minimal
 from hallforge.errors import SpecError
 from hallforge.files import AlgebraHandle, CategorySpec, write_element
@@ -633,7 +633,15 @@ WIDE_TABLE_SHA256 = {
         A2_BOUNDED_WIDE, "2,total:3", "dh",
         "d95b932589c5ca4153417540f7095288957fca77c28ae42d335a8845f8a72176",
     ),
+    # the same grid's sdh-tw table, 784 pairs, recorded while the localized
+    # products still summed Fractions and rewrote every strict middle anew
+    "a2-0-2-sdh-tw-total3": (
+        A2_BOUNDED_WIDE, "2,total:3", "sdh-tw",
+        "b48faea553a431ab3119d2e24b07c6a6f54f5ddb5050d8824dd14e13bad66650",
+    ),
 }
+# the cold cache file that table run writes, recorded likewise
+SDH_TW_WIDE_CACHE_SHA256 = "f69d5ab7db789853ac0734b963b6131c9f59e9c4d6fb17fed6f4f562e38588f0"
 # the A2 q=2 window [0,1] dh table at cap 2,total:3, recorded likewise
 DH_TOTAL3_SHA256 = "14d11af15ccdc6145714a5f0e3626c8caab53249cd42c78fe95ac768d7ad0685"
 # the hall table on that grid, recorded before strict complex records were
@@ -1066,3 +1074,28 @@ def test_stable_and_strict_records_keep_their_cache_file_bytes(tmp_path):
     records = [json.loads(line)["record"] for line in cache_file.read_text().splitlines()[1:]]
     assert [("neg_ext" in rec) for rec in records] == [True] * 169 + [False] * 256
     assert _sha(cache_file) == DH_HALL_CACHE_SHA256
+
+
+def test_sdh_tw_cold_cache_file_keeps_its_bytes(tmp_path):
+    spec = write_spec(tmp_path, A2_BOUNDED_WIDE)
+    argv = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "sdh-tw"]
+    assert cli.main(argv + ["--out", str(tmp_path / "t.json")]) == 0
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_BOUNDED_WIDE).spec_hash}.jsonl"
+    assert _sha(cache_file) == SDH_TW_WIDE_CACHE_SHA256
+
+
+def test_sdh_tw_table_strips_each_strict_class_once(tmp_path, monkeypatch):
+    calls = Counter()
+    strip = cx.strip_contractibles
+
+    def counting(x):
+        calls[x.encoding()] += 1
+        return strip(x)
+
+    monkeypatch.setattr(cx, "strip_contractibles", counting)
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "1", "--algebra", "sdh-tw"]
+    assert cli.main(argv + ["--out", str(tmp_path / "t.json")]) == 0
+    # every strict middle is rewritten once per run, however many products
+    # it appears in: 13 encodings, where each product rewrote its own
+    assert len(calls) == 13 and set(calls.values()) == {1}

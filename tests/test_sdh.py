@@ -17,7 +17,7 @@ from hallforge.errors import (
     SpecError,
     WindowOverflow,
 )
-from hallforge.hall import MemoryCache, pair_key
+from hallforge.hall import MemoryCache, SqrtExt, pair_key
 from hallforge.linalg import Field
 from hallforge.quiver import Quiver
 from hallforge.sdh import SDH, QuantumTorus
@@ -173,8 +173,8 @@ def test_torus_conjugation_is_commutation_scalar():
     X = s.normalize(s.cat.stalk(1, 0))
     m_id = next(iter(X))[1]
     conj = s.product(s.product(s.torus_element((1, 0)), X), s.torus_inverse((1, 0)))
-    assert conj == {((0, 0), m_id): 1 / s.commutation((1, 0), m_id)}
-    assert s.commutation((1, 0), m_id) == Fraction(2)
+    assert conj == {((0, 0), m_id): Fraction(2) ** -s.commutation_exponent((1, 0), m_id)}
+    assert s.commutation_exponent((1, 0), m_id) == 1
 
 
 def test_product_associative_periodic():
@@ -536,7 +536,7 @@ def test_forms_and_torus_solve_no_hom_complex(monkeypatch):
         warm.tw_product(x, warm.normalize(b)),
         cx.euler_exponent_cx(a, b),
         warm.rel_euler_exponent(a, b),
-        warm.commutation((1, 1), m_id),
+        warm.commutation_exponent((1, 1), m_id),
     )
 
     def forbidden(*args, **kwargs):
@@ -551,7 +551,7 @@ def test_forms_and_torus_solve_no_hom_complex(monkeypatch):
         s.tw_product(x, y),
         cx.euler_exponent_cx(a, b),
         s.rel_euler_exponent(a, b),
-        s.commutation((1, 1), m_id),
+        s.commutation_exponent((1, 1), m_id),
     )
     assert got == want
     assert QuantumTorus(cat).pairing_exp == s.torus.pairing_exp
@@ -645,6 +645,99 @@ def test_dh_product_of_sums_is_the_bilinear_expansion_of_literal_pairs():
         got = s.dh_product(left, right)
         assert got == {u: v for u, v in want.items() if v != 0}
         assert all(type(v) is Fraction for v in got.values())
+    assert len(s.stable) == len(ref.stable) > len(ids)
+    for i in range(len(ref.stable)):
+        assert s.stable.object(i).encoding() == ref.stable.object(i).encoding()
+
+
+# ---- the localized products against their Fraction bodies ----
+
+
+def _reference_product(s, x, y):
+    """The localized product in Fraction arithmetic: torus parts move left
+    through object parts via the commutation scalar, object parts multiply
+    in the strict algebra, and every strict middle is rewritten onto the
+    basis on every call."""
+    out = {}
+    for (gamma, m_id), c1 in sorted(x.items()):
+        m = s.stable.object(m_id)
+        m_elem = s.strict.basis(m)
+        fwd, rev = s.torus.hom_from(m), s.torus.hom_to(m)
+        for (delta, s_id), c2 in sorted(y.items()):
+            comm = Fraction(s.q) ** sum(d * (f - r) for d, f, r in zip(delta, fwd, rev))
+            pref = c1 * c2 * comm / s.torus.pairing(gamma, delta)
+            gd = s.torus.add(gamma, delta)
+            strict_prod = s.strict.product(m_elem, s.strict.basis(s.stable.object(s_id)))
+            for b_id in sorted(strict_prod):
+                u, exps = cx.strip_contractibles(s.strict.backend.object(b_id))
+                eps, u_id = s.torus.vector(exps), s.stable.classify(u)
+                homc = s.gen_hom(eps, u_id)
+                key = (s.torus.add(gd, eps), u_id)
+                term = pref * strict_prod[b_id] * homc / s.torus.pairing(gd, eps)
+                out[key] = out.get(key, Fraction(0)) + term
+    return {k: v for k, v in sorted(out.items()) if v != 0}
+
+
+def _reference_tw_product(s, x, y):
+    """The relative-Euler-twisted product as one localized product per pair
+    of terms, each scaled by q to the pair's relative Euler exponent."""
+    out = {}
+    for kx, c1 in sorted(x.items()):
+        for ky, c2 in sorted(y.items()):
+            tw = Fraction(s.q) ** s._rel_exponent_keys(kx, ky)
+            for key, v in _reference_product(s, {kx: c1 * tw}, {ky: c2}).items():
+                out[key] = out.get(key, Fraction(0)) + v
+    return {k: v for k, v in sorted(out.items()) if v != 0}
+
+
+_PRODUCT_GRIDS = {
+    "a2-q2-0-1": (lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=1), True),
+    "a2-q2-period-2": (lambda: ComplexCategory(A2, F2, "periodic", period=2), False),
+}
+
+
+@pytest.mark.parametrize("grid", list(_PRODUCT_GRIDS))
+def test_localized_products_match_their_fraction_bodies(grid):
+    make, twisted = _PRODUCT_GRIDS[grid]
+    s, ref = SDH(make()), SDH(make())
+    ids = s.stable_sample(max_total_dim=2)
+    assert ref.stable_sample(max_total_dim=2) == ids and len(ids) > 4
+    rank = s.torus.rank
+
+    def exps(k):  # entries in {-1, 0, 1, 2}, cycled
+        return tuple((i + k) % 4 - 1 for i in range(rank))
+
+    x = {
+        (exps(0), ids[1]): Fraction(3, 2),
+        (exps(1), ids[-1]): Fraction(-2),
+        (exps(2), s.zero_class): Fraction(5, 4),
+    }
+    y = {
+        (exps(3), ids[2]): Fraction(7),
+        (exps(1), ids[len(ids) // 2]): Fraction(-1, 3),
+        (s.torus.zero(), ids[-2]): Fraction(1),
+    }
+    root = {(exps(2), ids[3]): SqrtExt(s.q, Fraction(1, 2), Fraction(-3))}
+    products = [(s.product, _reference_product)]
+    if twisted:
+        products.append((s.tw_product, _reference_tw_product))
+    for new, old in products:
+        for left, right in ((x, y), (y, x), (x, x), ({**y, **root}, x)):
+            want = old(ref, left, right)
+            got = new(left, right)
+            assert got == want and want
+            radical = any(isinstance(c, SqrtExt) for c in [*left.values(), *right.values()])
+            assert all(type(v) is (SqrtExt if radical else Fraction) for v in got.values())
+    # terms that cancel are dropped: t_a ⋄ t_b = q^-p(a, b) t_{a+b}, p the
+    # torus pairing exponent
+    a, b, z = exps(0), exps(1), s.zero_class
+    d = Fraction(s.q) ** (s.torus.pairing_exponent(b, a) - s.torus.pairing_exponent(a, b))
+    left, right = {(a, z): Fraction(1), (b, z): Fraction(-1)}, {(b, z): Fraction(1), (a, z): d}
+    got = s.product(left, right)
+    assert got == _reference_product(ref, left, right)
+    assert set(got) == {(s.torus.add(a, a), z), (s.torus.add(b, b), z)}
+    # the memoized rewriting grows the stable registry as rewriting every
+    # middle on every call does
     assert len(s.stable) == len(ref.stable) > len(ids)
     for i in range(len(ref.stable)):
         assert s.stable.object(i).encoding() == ref.stable.object(i).encoding()
