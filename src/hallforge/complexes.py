@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
@@ -47,7 +46,7 @@ from .errors import (
     SpecError,
     WindowOverflow,
 )
-from .linalg import Field, Matrix, kernel_basis, rank, rref, solve_matrix
+from .linalg import Field, Matrix, _columns, _mul, kernel_basis, rank, rref, solve_matrix
 from .quiver import (
     Quiver,
     Registry,
@@ -57,7 +56,6 @@ from .quiver import (
     _power_eventual,
     _sub_rep,
     _unvec,
-    direct_sum,
     euler_exponent,
     find_iso,
     hom_basis,
@@ -157,11 +155,17 @@ class ComplexCategory:
             return hit
         if len(mults) != self.quiver.n or any(m < 0 for m in mults):
             raise SpecError(f"bad multiplicity vector {list(mults)}")
-        rep = Rep.zero(self.quiver, self.field)
-        for i in range(1, self.quiver.n + 1):
-            for _ in range(mults[i - 1]):
-                rep = direct_sum(rep, self.proj(i))
-        self._rep_cache[mults] = rep
+        # block diagonal in the copy order: the iterated direct sum
+        dims = [sum(m * p.dims[v] for m, p in zip(mults, self._projs)) for v in range(self.quiver.n)]
+        maps = []
+        for a, (t, h) in enumerate(self.quiver.arrows):
+            rows = []
+            for (i, _), off in zip(self.copies_of(mults), self.copy_offsets(mults)):
+                left = [0] * off[t - 1]
+                right = [0] * (dims[t - 1] - off[t - 1] - self.proj(i).dims[t - 1])
+                rows += [left + list(r) + right for r in self.proj(i).maps[a].entries()]
+            maps.append(Matrix(self.field, rows, dims[t - 1]))
+        rep = self._rep_cache[mults] = Rep(self.quiver, self.field, dims, maps)
         return rep
 
     def copies_of(self, mults: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -197,21 +201,17 @@ class ComplexCategory:
             self._hom_memo[key] = hit
         return hit
 
-    def hom_stack(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """hom_basis_of(src, tgt) as one write-protected int64 array per
-        vertex, of shape (basis size, rows, cols): entry j is basis element j."""
+    def hom_stack(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> Matrix:
+        """hom_basis_of(src, tgt) as one Matrix whose column j holds basis
+        element j's raw coordinates: its vertex matrices, vertex by vertex,
+        each row-major."""
         key = (src, tgt)
         hit = self._stack_memo.get(key)
         if hit is None:
             basis = self.hom_basis_of(src, tgt)
-            s, t = self.rep_of(src).dims, self.rep_of(tgt).dims
-            hit = tuple(
-                np.array([b[v].a for b in basis], dtype=np.int64).reshape(len(basis), t[v], s[v])
-                for v in range(self.quiver.n)
-            )
-            for a in hit:
-                a.setflags(write=False)
-            self._stack_memo[key] = hit
+            raw = sum(map(mul, self.rep_of(src).dims, self.rep_of(tgt).dims))
+            flat = [[x for m in b for r in m.entries() for x in r] for b in basis]
+            hit = self._stack_memo[key] = Matrix(self.field, _columns(flat, raw), len(basis))
         return hit
 
     def zero_maps(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[Matrix, ...]:
@@ -224,12 +224,12 @@ class ComplexCategory:
             self._zero_memo[key] = hit
         return hit
 
-    def merge_order(self, first: tuple[int, ...], second: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    def merge_order(self, first: tuple[int, ...], second: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Per vertex: the block-sum index of each canonical basis vector.
 
         rep_of(first + second) lists copies generator by generator, so the
         block-sum basis of rep_of(first) (+) rep_of(second) (all of first,
-        then all of second) is interleaved; entry j of the vertex-v array is
+        then all of second) is interleaved; entry j of the vertex-v tuple is
         the block-sum position of canonical basis vector j.
         """
         key = (first, second)
@@ -242,15 +242,12 @@ class ComplexCategory:
             block = dict(zip(self.copies_of(first), self.copy_offsets(first)))
             for (i, t), off in zip(self.copies_of(second), self.copy_offsets(second)):
                 block[(i, first[i - 1] + t)] = tuple(a + b for a, b in zip(first_dims, off))
-            order = [np.empty(d, dtype=np.intp) for d in self.rep_of(total).dims]
+            order = [[0] * d for d in self.rep_of(total).dims]
             for slot, off in zip(self.copies_of(total), self.copy_offsets(total)):
                 for v, d in enumerate(self.proj(slot[0]).dims):
                     start = block[slot][v]
-                    order[v][off[v]:off[v] + d] = np.arange(start, start + d)
-            for a in order:
-                a.setflags(write=False)
-            hit = tuple(order)
-            self._merge_memo[key] = hit
+                    order[v][off[v]:off[v] + d] = range(start, start + d)
+            hit = self._merge_memo[key] = tuple(map(tuple, order))
         return hit
 
     def mult_dim(self, mults: tuple[int, ...]) -> int:
@@ -369,27 +366,30 @@ class Complex:
             n0 = int(n)
             if n0 not in self.diffs and any(not m.is_zero() for m in given_diffs[n]):
                 raise SpecError(f"differential at degree {n} has a zero end")
-        # the products below run on the raw arrays, reduced mod p
+        # the products below run on the entry rows, reduced mod p
         p = cat.field.p
         for n, d in self.diffs.items():
             src = self.rep(n)
             tgt = self.rep(self.cat.next_deg(n))
             if len(d) != cat.quiver.n:
                 raise SpecError(f"differential at degree {n}: need one matrix per vertex")
-            a = [m.a for m in d]
+            a = [m.entries() for m in d]
             for v in range(cat.quiver.n):
-                if a[v].shape != (tgt.dims[v], src.dims[v]):
+                if d[v].shape != (tgt.dims[v], src.dims[v]):
                     raise SpecError(f"differential at degree {n}: vertex {v + 1} shape mismatch")
             # must be a morphism of representations
             for i, (t, h) in enumerate(cat.quiver.arrows):
-                if ((a[h - 1] @ src.maps[i].a - tgt.maps[i].a @ a[t - 1]) % p).any():
+                w = src.dims[t - 1]
+                lhs = _mul(a[h - 1], src.maps[i].entries(), w)
+                rhs = _mul(tgt.maps[i].entries(), a[t - 1], w)
+                if any((x - y) % p for r, s in zip(lhs, rhs) for x, y in zip(r, s)):
                     raise SpecError(f"differential at degree {n} is not a rep morphism")
         # d d = 0 wherever both factors exist
-        for n in self.diffs:
+        for n, d in self.diffs.items():
             n1 = self.cat.next_deg(n)
             if n1 in self.diffs:
-                for v in range(cat.quiver.n):
-                    if ((self.diffs[n1][v].a @ self.diffs[n][v].a) % p).any():
+                for v, (d0, d1) in enumerate(zip(d, self.diffs[n1])):
+                    if any(x % p for r in _mul(d1.entries(), d0.entries(), d0.cols) for x in r):
                         raise SpecError(f"d_{n1} d_{n} != 0 at vertex {v + 1}")
 
     # ---- access ----
@@ -461,12 +461,10 @@ def _merged_diff(cat, first, second, first1, second1, tl, tr, br) -> tuple[Matri
     rows = cat.merge_order(first1, second1)
     out = []
     for v in range(cat.quiver.n):
-        r1, c1 = tl[v].a.shape
-        block = np.zeros((r1 + br[v].rows, c1 + br[v].cols), dtype=np.int64)
-        block[:r1, :c1] = tl[v].a
-        block[:r1, c1:] = tr[v].a
-        block[r1:, c1:] = br[v].a
-        out.append(Matrix(cat.field, block[rows[v][:, None], cols[v]]))
+        zero = (0,) * tl[v].cols
+        block = [a + b for a, b in zip(tl[v].entries(), tr[v].entries())]
+        block += [zero + b for b in br[v].entries()]
+        out.append(Matrix(cat.field, [[block[i][j] for j in cols[v]] for i in rows[v]], len(cols[v])))
     return tuple(out)
 
 
@@ -519,7 +517,7 @@ class _MapSpace:
 
     def columns(self, n: int) -> slice:
         """Columns of the degree-n coefficients, in hom-basis order."""
-        return slice(self.var_start[n], self.var_start[n] + len(self.stacks[n][0]))
+        return slice(self.var_start[n], self.var_start[n] + self.stacks[n].cols)
 
 
 def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
@@ -548,71 +546,42 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
         for v in range(cat.quiver.n):
             raw += tgt.dims[v] * src.dims[v]
             offs.append(raw)
-        if raw == offs[0] and not len(stack[0]):
+        if raw == offs[0] and not stack.cols:
             continue
         stacks[n] = stack
         var_start[n] = nvars
         raw_offsets[n] = tuple(offs)
         shapes[n] = tuple((tgt.dims[v], src.dims[v]) for v in range(cat.quiver.n))
-        nvars += len(stack[0])
+        nvars += stack.cols
     return _MapSpace(sorted(stacks), stacks, var_start, nvars, raw_offsets, raw, shapes)
 
 
-def _scatter(out: np.ndarray, cols: slice, space: _MapSpace, n: int, terms, sign: int = 1):
-    """Add sign times a stack of degree-n maps (per vertex, shape (count,
-    rows, cols)) to out[:, cols] in the raw coordinates of space.  Entries
-    are left unreduced; callers reduce mod p once at the end."""
-    offs = space.raw_offsets.get(n)
-    if offs is None:
-        # the maps must be zero there; otherwise the layout is wrong
-        assert not any(t.any() for t in terms)
-        return
-    for v, t in enumerate(terms):
-        count, r, c = t.shape
-        out[offs[v]:offs[v + 1], cols] += sign * t.reshape(count, r * c).T
-
-
-def _unstack(space: _MapSpace, n: int, cols: np.ndarray) -> list[np.ndarray]:
-    """The degree-n components of raw columns of space, per vertex as a
-    stack of shape (column count, rows, cols)."""
-    offs = space.raw_offsets[n]
-    return [
-        cols[offs[v]:offs[v + 1]].T.reshape(cols.shape[1], r, c)
-        for v, (r, c) in enumerate(space.shapes[n])
-    ]
-
-
-def _differential_terms(
-    x: Complex,
-    y: Complex,
-    k: int,
-    space: _MapSpace,
-    out_space: _MapSpace,
-    ysign: int,
-    xsign: int,
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Raw columns (in out_space) of ysign d_y f + xsign f d_x for each
-    hom-basis variable f of space (degree k), or for each raw column of
-    space in cols: the term d_{y, n+k} f_n lands at degree n and
-    f_n d_{x, n-1} at degree n-1.  One product per degree and vertex
-    multiplies the whole stack at once."""
+def _raw_entries(x: Complex, y: Complex, k: int, space: _MapSpace, out_space: _MapSpace):
+    """The nonzero entries (row, column, value) of the matrix, in raw
+    coordinates of out_space by those of space, of d^k f = d_y f + s f d_x
+    on the degree-k maps of space: d_{y, n+k} f_n lands at degree n and
+    f_n d_{x, n-1} at degree n-1.  Row-major raw entries (i, l) of D f and
+    f E read sum_m D[i][m] f[m][l] and sum_m f[i][m] E[m][l]."""
     cat = x.cat
-    width = space.nvars if cols is None else cols.shape[1]
-    out = np.zeros((out_space.raw_dim, width), dtype=np.int64)
     for n in space.degrees:
-        if cols is None:
-            stack, where = space.stacks[n], space.columns(n)
-        else:
-            stack, where = _unstack(space, n, cols), slice(None)
-        dy = y.diffs.get(cat.wrap(n + k))
-        if dy is not None:
-            _scatter(out, where, out_space, n, [d.a @ f for d, f in zip(dy, stack)], ysign)
         nprev = cat.prev_deg(n)
-        dx = x.diffs.get(nprev)
-        if dx is not None:
-            _scatter(out, where, out_space, nprev, [f @ d.a for f, d in zip(stack, dx)], xsign)
-    return out % cat.field.p
+        terms = ((True, 1, y.diffs.get(cat.wrap(n + k)), n), (False, _sign(k), x.diffs.get(nprev), nprev))
+        for left, sign, d, deg in terms:
+            dst = out_space.raw_offsets.get(deg)
+            if d is None or dst is None:  # no raw coordinates there: the products are empty
+                continue
+            for o, t, m, (r, c) in zip(space.raw_offsets[n], dst, d, space.shapes[n]):
+                w = m.cols
+                for i, row in enumerate(m.entries()):
+                    for j, e in enumerate(row):
+                        if not e:
+                            continue
+                        if left:  # (D f)[i][l] takes D[i][j] f[j][l]
+                            for lc in range(c):
+                                yield t + i * c + lc, o + j * c + lc, sign * e
+                        else:  # (f E)[a][j] takes f[a][i] E[i][j]
+                            for a in range(r):
+                                yield t + a * w + j, o + a * c + i, sign * e
 
 
 def _sign(k: int) -> int:
@@ -621,12 +590,12 @@ def _sign(k: int) -> int:
     return 1 if k % 2 == 1 else -1
 
 
-def _components(space: _MapSpace, vec: np.ndarray, field: Field) -> dict:
+def _components(space: _MapSpace, vec: list[int], field: Field) -> dict:
     """The map with raw coordinates vec in space, as degree -> vertex
     matrices (degrees where it vanishes left out)."""
     out = {}
     for n in space.degrees:
-        mats = _unvec(field, vec[np.newaxis], space.raw_offsets[n], space.shapes[n])[0]
+        mats = _unvec(field, [vec], space.raw_offsets[n], space.shapes[n])[0]
         if any(not m.is_zero() for m in mats):
             out[n] = mats
     return out
@@ -640,7 +609,7 @@ def hom_chain_basis(x: Complex, y: Complex) -> list[dict]:
     if not ker:
         return []
     zcols = _cocycle_columns(space, ker, hc.field.p)
-    return [_components(space, z, hc.field) for z in zcols.T]
+    return [_components(space, z, hc.field) for z in zcols]
 
 
 def hom_dim_cx(x: Complex, y: Complex) -> int:
@@ -652,12 +621,10 @@ def hom_card(x: Complex, y: Complex) -> int:
     return x.cat.field.p ** hom_dim_cx(x, y)
 
 
-def _cocycle_columns(space: _MapSpace, ker, p: int) -> np.ndarray:
+def _cocycle_columns(space: _MapSpace, ker, p: int) -> list[list[int]]:
     """Raw coordinates of the maps with the kernel's coefficients, one column each."""
-    basis = np.zeros((space.raw_dim, space.nvars), dtype=np.int64)
-    for n in space.degrees:
-        _scatter(basis, space.columns(n), space, n, space.stacks[n])
-    return basis @ np.stack(ker, axis=1) % p
+    return [[sum(map(mul, r, v[space.columns(n)])) % p
+             for n in space.degrees for r in space.stacks[n].entries()] for v in ker]
 
 
 class HomComplexError(RuntimeError):
@@ -680,7 +647,7 @@ class _HomComplex:
         self.x, self.y = x, y
         self.field = x.cat.field
         self._spaces: dict[int, _MapSpace] = {}
-        self._diffs: dict[int, np.ndarray] = {}
+        self._diffs: dict[int, list] = {}
         self._ranks: dict[int, int] = {}
 
     def space(self, k: int) -> _MapSpace:
@@ -689,33 +656,43 @@ class _HomComplex:
             hit = self._spaces[k] = _map_space(self.x, self.y, k)
         return hit
 
-    def _apply(self, k: int, cols: np.ndarray | None = None) -> np.ndarray:
-        """d^k of the hom-basis variables of Hom^k, or of the raw columns
-        cols of Hom^k, as raw columns in Hom^(k+1)."""
-        space, out_space = self.space(k), self.space(k + 1)
-        return _differential_terms(self.x, self.y, k, space, out_space, 1, _sign(k), cols)
+    def _apply(self, k: int, rows, width: int) -> list[list[int]]:
+        """d^k of the maps whose raw coordinates in Hom^k are the columns
+        of `rows` (width of them), as rows in the raw coordinates of
+        Hom^(k+1), reduced mod p."""
+        out = [[0] * width for _ in range(self.space(k + 1).raw_dim)]
+        for t, q, e in _raw_entries(self.x, self.y, k, self.space(k), self.space(k + 1)):
+            out[t] = [u + e * v for u, v in zip(out[t], rows[q])]
+        return [[e % self.field.p for e in r] for r in out]
 
-    def differential(self, k: int) -> np.ndarray:
-        """d^k as raw columns in Hom^(k+1), one per hom-basis variable of Hom^k."""
+    def differential(self, k: int) -> list[list[int]]:
+        """d^k as rows in the raw coordinates of Hom^(k+1), one column per
+        hom-basis variable of Hom^k."""
         hit = self._diffs.get(k)
         if hit is None:
-            hit = self._diffs[k] = self._apply(k)
+            space = self.space(k)
+            stack = [[0] * space.var_start[n] + list(r) + [0] * (space.nvars - space.columns(n).stop)
+                     for n in space.degrees for r in space.stacks[n].entries()]
+            hit = self._diffs[k] = self._apply(k, stack, space.nvars)
         return hit
+
+    def _matrix(self, k: int) -> Matrix:
+        """d^k as a Matrix: raw coordinates of Hom^(k+1) by the variables of Hom^k."""
+        return Matrix(self.field, self.differential(k), self.space(k).nvars)
 
     def rank_d(self, k: int) -> int:
         """rank d^k (0 without building anything when Hom^k is 0)."""
         hit = self._ranks.get(k)
         if hit is None:
-            d = self.differential(k) if self.space(k).nvars else None
-            hit = rank(Matrix(self.field, d)) if d is not None and d.any() else 0
-            self._ranks[k] = hit
+            d = self.differential(k) if self.space(k).nvars else []
+            hit = self._ranks[k] = rank(self._matrix(k)) if any(map(any, d)) else 0
         return hit
 
-    def cycles(self, k: int) -> list[np.ndarray]:
+    def cycles(self, k: int) -> list[list[int]]:
         """A basis of Z^k as hom-basis coefficient vectors, in
         `kernel_basis` order; records rank d^k."""
         nvars = self.space(k).nvars
-        ker = kernel_basis(Matrix(self.field, self.differential(k))) if nvars else []
+        ker = kernel_basis(self._matrix(k)) if nvars else []
         self._ranks[k] = nvars - len(ker)
         return ker
 
@@ -729,7 +706,7 @@ class _HomComplex:
             return 0
         if self.space(k - 1).nvars:
             image = self.differential(k - 1)
-            if image.any() and self._apply(k, image).any():
+            if any(map(any, image)) and any(map(any, self._apply(k, image, self.space(k - 1).nvars))):
                 raise HomComplexError(f"d^{k} d^{k - 1} != 0 in the Hom complex")
         return self.cycles_dim(k) - self.rank_d(k - 1)
 
@@ -747,9 +724,9 @@ class _HomComplex:
         if not ker:
             return None
         zcols = _cocycle_columns(space, ker, field.p)
-        bcols = self.differential(0)
-        nb = bcols.shape[1]
-        piv = rref(Matrix(field, np.concatenate([bcols, zcols], axis=1)))[1]
+        nb = self.space(0).nvars
+        rows = [b + list(z) for b, z in zip(self.differential(0), _columns(zcols, space.raw_dim))]
+        piv = rref(Matrix(field, rows, nb + len(zcols)))[1]
         if len(piv) != len(ker):
             raise HomComplexError("coboundaries escaped the cocycle space")
         self._ranks[0] = sum(c0 < nb for c0 in piv)
@@ -808,10 +785,10 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
         )
     reps = []
     for coeffs in itertools.product(range(p), repeat=dim):
-        vec = np.zeros(space.raw_dim, dtype=np.int64)
+        vec = [0] * space.raw_dim
         for cf, j in zip(coeffs, compl):
             if cf:
-                vec = (vec + cf * zcols[:, j]) % p
+                vec = [(a + cf * b) % p for a, b in zip(vec, zcols[j])]
         reps.append(_components(space, vec, field))
     return CxExt1(dim, reps)
 
@@ -858,11 +835,10 @@ def euler_exponent_cx(x: Complex, y: Complex) -> int:
 
 def _find_unit(cat: ComplexCategory, comps: dict, diffs: dict):
     """The first cone block of a complex given by its multiplicity vectors
-    and per-vertex differential arrays: (n, i, s, r, c) with c != 0 the
-    scalar of the block P_i -> P_i of d_n from source copy r to target copy
-    s, read at vertex i.  Scans degree, generator, target copy, source copy;
-    None when the complex is minimal."""
-    p = cat.field.p
+    and per-vertex differential rows (reduced mod p): (n, i, s, r, c) with
+    c != 0 the scalar of the block P_i -> P_i of d_n from source copy r to
+    target copy s, read at vertex i.  Scans degree, generator, target copy,
+    source copy; None when the complex is minimal."""
     for n in sorted(diffs):
         src, tgt = comps[n], comps[cat.next_deg(n)]
         src_copies, tgt_copies = cat.copies_of(src), cat.copies_of(tgt)
@@ -874,7 +850,7 @@ def _find_unit(cat: ComplexCategory, comps: dict, diffs: dict):
                     continue
                 for r, (gr, _) in enumerate(src_copies):
                     if gr == i:
-                        c = int(a[tgt_offs[s][i - 1], src_offs[r][i - 1]]) % p
+                        c = a[tgt_offs[s][i - 1]][src_offs[r][i - 1]]
                         if c:
                             return n, i, s, r, c
     return None
@@ -898,7 +874,7 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
     cat = x.cat
     p = cat.field.p
     comps = dict(x.comps)
-    diffs = {n: [m.a for m in d] for n, d in x.diffs.items()}
+    diffs = {n: [m.entries() for m in d] for n, d in x.diffs.items()}
     exps: dict[str, int] = {}
     while (hit := _find_unit(cat, comps, diffs)) is not None:
         n, i, s, r, c = hit
@@ -906,15 +882,19 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
         src_offs, tgt_offs = cat.copy_offsets(comps[n]), cat.copy_offsets(comps[n1])
         cinv = cat.field.inv(c)
         for v, width in enumerate(cat.proj(i).dims):
-            rs = np.s_[src_offs[r][v]:src_offs[r][v] + width]
-            ss = np.s_[tgt_offs[s][v]:tgt_offs[s][v] + width]
+            if not width:
+                continue
+            rs = range(src_offs[r][v], src_offs[r][v] + width)
+            ss = range(tgt_offs[s][v], tgt_offs[s][v] + width)
             d = diffs[n][v]
-            d = (d - cinv * d[:, rs] @ d[ss, :]) % p
-            diffs[n][v] = np.delete(np.delete(d, ss, axis=0), rs, axis=1)
+            # d[:, rs] d[ss, :], then the Schur complement without rows ss and columns rs
+            prod = _mul([[row[j] for j in rs] for row in d], [d[j] for j in ss], len(d[0]))
+            diffs[n][v] = [[(e - cinv * f) % p for j, (e, f) in enumerate(zip(row, prow)) if j not in rs]
+                           for a, (row, prow) in enumerate(zip(d, prod)) if a not in ss]
             if n0 in diffs:
-                diffs[n0][v] = np.delete(diffs[n0][v], rs, axis=0)
+                diffs[n0][v] = [row for a, row in enumerate(diffs[n0][v]) if a not in rs]
             if n1 in diffs:
-                diffs[n1][v] = np.delete(diffs[n1][v], ss, axis=1)
+                diffs[n1][v] = [[e for j, e in enumerate(row) if j not in ss] for row in diffs[n1][v]]
         for deg in (n, n1):
             mults = list(comps[deg])
             mults[i - 1] -= 1
@@ -925,14 +905,15 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
                 diffs.pop(cat.prev_deg(deg), None)
         key = generator_key(i, n)
         exps[key] = exps.get(key, 0) + 1
-    out_diffs = {n: tuple(Matrix(cat.field, a) for a in d) for n, d in diffs.items()}
+    out_diffs = {n: tuple(Matrix(cat.field, a, w) for a, w in zip(d, cat.rep_of(comps[n]).dims))
+                 for n, d in diffs.items()}
     return Complex(cat, comps, out_diffs), exps
 
 
 def is_minimal(x: Complex) -> bool:
     """No cone summand: every P_i -> P_i diagonal block scalar vanishes."""
-    arrays = {n: [m.a for m in d] for n, d in x.diffs.items()}
-    return _find_unit(x.cat, x.comps, arrays) is None
+    rows = {n: [m.entries() for m in d] for n, d in x.diffs.items()}
+    return _find_unit(x.cat, x.comps, rows) is None
 
 
 # ---- decomposition and isomorphism ----
@@ -1001,7 +982,7 @@ def _canonicalize_subcomplex(x: Complex, cols: dict) -> Complex:
         sub_reps[n] = _sub_rep(rep, c)
         # the spanning vectors as the columns of one matrix per vertex
         inclusions[n] = tuple(
-            Matrix(field, np.array(vecs, dtype=np.int64).reshape(len(vecs), d).T)
+            Matrix(field, _columns(vecs, d), len(vecs))
             for vecs, d in zip(c, rep.dims)
         )
     comps = {}

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from .config import Caps, DEFAULT_CAPS
 from .errors import EulerUndefined, SpecError, WindowOverflow
 from . import complexes as cx
-from .linalg import Field, _matrix_of_rows
+from .linalg import Field, Matrix
 from .quiver import (
     Quiver,
     Registry,
@@ -245,7 +245,7 @@ class RepBackend(_Backend):
     def decode(self, enc) -> Rep:
         dims, maps = enc
         mats = [
-            _matrix_of_rows(self.field, rows, dims[h - 1], dims[t - 1])
+            Matrix(self.field, rows, dims[t - 1])
             for (t, h), rows in zip(self.quiver.arrows, maps)
         ]
         return Rep(self.quiver, self.field, dims, mats)
@@ -294,10 +294,8 @@ class CxBackend(_Backend):
         diffs = {}
         for n, vmats in diffs_part:
             src = self.cat.rep_of(comps[n]).dims
-            tgt = self.cat.rep_of(comps[self.cat.next_deg(n)]).dims
             diffs[n] = tuple(
-                _matrix_of_rows(self.field, rows, t, s)
-                for s, t, rows in zip(src, tgt, vmats, strict=True)
+                Matrix(self.field, rows, s) for s, rows in zip(src, vmats, strict=True)
             )
         return cx.Complex(self.cat, comps, diffs)
 

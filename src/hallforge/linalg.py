@@ -1,19 +1,19 @@
 """Exact dense linear algebra over prime fields F_p, 2 <= p <= 97.
 
-`Matrix` is the boundary type: an immutable numpy int64 array with entries
-reduced mod p, so every product of two entries fits in int64 and all
-arithmetic is exact.  Elimination runs on Python int rows instead
-(`_rref_rows`, Gauss-Jordan in place), because the systems here are tiny
-and numpy's per-call overhead would cost more than the arithmetic.  Every
-routine that row-reduces (rref, rank, kernel_basis, solve, solve_matrix)
-goes through that one elimination; the quiver layer calls it on its own
-constraint rows.  The reduced row echelon form is unique, so every result
-is deterministic.  No sparse formats, no extension fields.
+`Matrix` is the boundary type: an immutable value holding its field, its
+stored shape (so 0 x c and r x 0 keep theirs) and a tuple of row tuples of
+Python ints in [0, p).  Everything runs on plain ints: the matrices here
+have a handful of rows, where a Python loop costs less than converting to
+an array library and back.  Every routine that row-reduces (rref, rank,
+kernel_basis, solve, solve_matrix) goes through one Gauss-Jordan
+elimination on int rows, `_rref_rows`, which the quiver layer also calls
+on its own constraint rows.  The reduced row echelon form is unique, so
+every result is deterministic.  No sparse formats, no extension fields.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import add, sub
 
 _SMALL_PRIMES = {
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
@@ -48,79 +48,101 @@ class Field:
 
 
 class Matrix:
-    """Immutable matrix over a Field; data stored row-major mod p."""
+    """Immutable matrix over a Field: its shape and a tuple of row tuples of
+    ints in [0, p).  `data` holds the rows (any ints, reduced mod p); `cols`
+    is needed only when there are no rows to read the width off."""
 
-    __slots__ = ("field", "a")
+    __slots__ = ("field", "rows", "cols", "_e")
 
-    def __init__(self, field: Field, data):
-        a = np.asarray(data, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {a.shape}")
-        a = np.mod(a, field.p)
-        a.setflags(write=False)
+    def __init__(self, field: Field, data, cols: int | None = None):
+        p = field.p
+        e = tuple([tuple([x % p for x in row]) for row in data])
+        if cols is None:
+            cols = len(e[0]) if e else 0
+        if any(len(row) != cols for row in e):
+            raise ValueError(f"matrix rows must all have {cols} entries")
         self.field = field
-        self.a = a
+        self.rows = len(e)
+        self.cols = cols
+        self._e = e
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls(field, [(0,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
+    def shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
 
     def entries(self) -> tuple:
         """Tuple of row tuples; canonical encoding for hashing/files."""
-        return tuple(map(tuple, self.a.tolist()))
+        return self._e
+
+    def _zip(self, other: "Matrix", op) -> "Matrix":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return Matrix(self.field, [list(map(op, r, s)) for r, s in zip(self._e, other._e)], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return Matrix(self.field, (self.a @ other.a) % self.field.p)
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        return Matrix(self.field, _mul(self._e, other._e, other.cols), other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.a + other.a)
+        return self._zip(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.a - other.a)
+        return self._zip(other, sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.a)
+        return Matrix(self.field, [[-x for x in r] for r in self._e], self.cols)
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not any(map(any, self._e))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
+            and self.cols == other.cols
+            and self._e == other._e
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.a.shape, self.a.tobytes()))
+        return hash((self.field.p, self.rows, self.cols, self._e))
 
     def __repr__(self):
-        return f"Matrix(F{self.field.p}, {self.a.tolist()})"
+        return f"Matrix(F{self.field.p}, {list(map(list, self._e))})"
 
 
-def _matrix_of_rows(field: Field, rows, r: int, c: int) -> Matrix:
-    """The r x c Matrix whose entries() are `rows` (a list may be empty)."""
-    return Matrix(field, np.array(rows, dtype=np.int64).reshape(r, c))
+def _columns(rows, ncols: int) -> list[tuple]:
+    """The ncols columns of the matrix with these rows, as tuples (ncols
+    empty ones when there are no rows)."""
+    return list(zip(*rows)) or [()] * ncols
 
 
-def _rref_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[int, ...]:
-    """Bring `rows`, lists of ncols ints in [0, p), to reduced row echelon
-    form in place; return the pivot columns.
+def _mul(a, b, ncols: int) -> list[list[int]]:
+    """Rows of the product of the row sequences a and b (b ncols wide),
+    entries not reduced.  Each row of the product adds up the rows of b
+    that the row of a picks, so zero entries cost one test each."""
+    out = []
+    for r in a:
+        acc = [0] * ncols
+        for x, row in zip(r, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, row)]
+        out.append(acc)
+    return out
+
+
+def _rref_rows(rows: list, ncols: int, p: int) -> tuple[int, ...]:
+    """Bring `rows`, a list of rows of ncols ints in [0, p), to reduced row
+    echelon form in place; return the pivot columns.  The list is changed,
+    the rows never are (they may be tuples): a changed row is a new list.
 
     Gauss-Jordan elimination: in each column the first row at or below the
     current one with a nonzero entry is swapped up, scaled to a leading 1
@@ -177,11 +199,11 @@ def _kernel_rows(red: list[list[int]], piv: tuple[int, ...], ncols: int, p: int)
     return basis
 
 
-def _solve_rows(a: list[list[int]], b: list[list[int]], acols: int, bcols: int, p: int):
+def _solve_rows(a, b, acols: int, bcols: int, p: int):
     """One solution X (acols rows of bcols ints) of a X = b over F_p, or
-    None if the system is inconsistent; a and b are rows with entries in
-    [0, p), acols and bcols wide."""
-    aug = [ra + rb for ra, rb in zip(a, b)]
+    None if the system is inconsistent; a and b are row sequences with
+    entries in [0, p), acols and bcols wide."""
+    aug = [[*ra, *rb] for ra, rb in zip(a, b)]
     piv = _rref_rows(aug, acols + bcols, p)
     if piv and piv[-1] >= acols:
         return None
@@ -193,42 +215,43 @@ def _solve_rows(a: list[list[int]], b: list[list[int]], acols: int, bcols: int, 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows = m.a.tolist()
+    rows = list(m._e)
     piv = _rref_rows(rows, m.cols, m.field.p)
-    return _matrix_of_rows(m.field, rows, m.rows, m.cols), piv
+    return Matrix(m.field, rows, m.cols), piv
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows(m.a.tolist(), m.cols, m.field.p))
+    return len(_rref_rows(list(m._e), m.cols, m.field.p))
 
 
-def kernel_basis(m: Matrix) -> list[np.ndarray]:
-    """Basis of the right null space {x : m x = 0}, deterministic order:
-    the vectors _kernel_rows reads off the reduced form."""
+def kernel_basis(m: Matrix) -> list[list[int]]:
+    """Basis of the right null space {x : m x = 0} as int lists,
+    deterministic order: the vectors _kernel_rows reads off the reduced
+    form."""
     p = m.field.p
-    rows = m.a.tolist()
+    rows = list(m._e)
     piv = _rref_rows(rows, m.cols, p)
-    return [np.array(v, dtype=np.int64) for v in _kernel_rows(rows, piv, m.cols, p)]
+    return _kernel_rows(rows, piv, m.cols, p)
 
 
-def solve(m: Matrix, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of m x = b, or None if the system is inconsistent."""
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % m.field.p
-    if b.shape[0] != m.rows:
+def solve(m: Matrix, b) -> list[int] | None:
+    """One solution x (an int list) of m x = b, or None if the system is
+    inconsistent; b is a sequence of m.rows ints."""
+    p = m.field.p
+    if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    x = _solve_rows(m.a.tolist(), [[y] for y in b.tolist()], m.cols, 1, m.field.p)
-    return None if x is None else np.array(x, dtype=np.int64).reshape(m.cols)
+    x = _solve_rows(m._e, [(y % p,) for y in b], m.cols, 1, p)
+    return None if x is None else [r[0] for r in x]
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     """One solution X of m X = b (columnwise), or None if inconsistent."""
     if b.rows != m.rows:
         raise ValueError("shape mismatch in solve_matrix")
-    x = _solve_rows(m.a.tolist(), b.a.tolist(), m.cols, b.cols, m.field.p)
-    return None if x is None else _matrix_of_rows(m.field, x, m.cols, b.cols)
+    x = _solve_rows(m._e, b._e, m.cols, b.cols, m.field.p)
+    return None if x is None else Matrix(m.field, x, b.cols)
 
 
 def block2x2(field: Field, tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    top = np.concatenate([tl.a, tr.a], axis=1)
-    bot = np.concatenate([bl.a, br.a], axis=1)
-    return Matrix(field, np.concatenate([top, bot], axis=0))
+    rows = [r + s for r, s in zip(tl._e, tr._e)] + [r + s for r, s in zip(bl._e, br._e)]
+    return Matrix(field, rows, tl.cols + tr.cols)

@@ -28,8 +28,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
     EndoSearchCapExceeded,
@@ -40,8 +38,9 @@ from .errors import (
 from .linalg import (
     Field,
     Matrix,
+    _columns,
     _kernel_rows,
-    _matrix_of_rows,
+    _mul,
     _rref_rows,
     _solve_rows,
     block2x2,
@@ -120,9 +119,9 @@ class Rep:
         if len(maps) != len(quiver.arrows):
             raise ValueError("need one matrix per arrow")
         for (t, h), m in zip(quiver.arrows, maps):
-            if m.a.shape != (dims[h - 1], dims[t - 1]):
+            if m.shape != (dims[h - 1], dims[t - 1]):
                 raise ValueError(
-                    f"arrow ({t},{h}) matrix has shape {m.a.shape}, "
+                    f"arrow ({t},{h}) matrix has shape {m.shape}, "
                     f"expected {(dims[h - 1], dims[t - 1])}"
                 )
         self.quiver = quiver
@@ -204,13 +203,14 @@ def _hom_constraint_matrix(
     return rows, offs, shapes
 
 
-def _unvec(field: Field, vecs: np.ndarray, offs, shapes) -> list[tuple[Matrix, ...]]:
-    """The Matrix tuples whose row-major entries are the rows of `vecs`
-    (k x offs[-1]): segment offs[i]:offs[i + 1] of each is a shapes[i]
-    matrix."""
-    k = len(vecs)
-    blocks = [vecs[:, offs[i]:offs[i + 1]].reshape(k, r, c) for i, (r, c) in enumerate(shapes)]
-    return [tuple(Matrix(field, blk[j]) for blk in blocks) for j in range(k)]
+def _unvec(field: Field, vecs, offs, shapes) -> list[tuple[Matrix, ...]]:
+    """The Matrix tuples whose row-major entries are the int vectors
+    `vecs`: segment offs[i]:offs[i + 1] of each is a shapes[i] matrix."""
+    return [
+        tuple(Matrix(field, [vec[o + j * c:o + j * c + c] for j in range(r)], c)
+              for o, (r, c) in zip(offs, shapes))
+        for vec in vecs
+    ]
 
 
 def hom_basis(a: Rep, b: Rep) -> list[tuple[Matrix, ...]]:
@@ -220,7 +220,7 @@ def hom_basis(a: Rep, b: Rep) -> list[tuple[Matrix, ...]]:
         return []
     piv = _rref_rows(rows, offs[-1], a.field.p)
     ker = _kernel_rows(rows, piv, offs[-1], a.field.p)
-    return _unvec(a.field, np.array(ker, dtype=np.int64).reshape(len(ker), offs[-1]), offs, shapes)
+    return _unvec(a.field, ker, offs, shapes)
 
 
 def hom_dim(a: Rep, b: Rep) -> int:
@@ -268,9 +268,12 @@ def ext1_space(a: Rep, c: Rep, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool =
     # cocycle coordinates: f_alpha: a_tail -> c_head, row-major, arrow by arrow
     fshapes = [(c.dims[h - 1], a.dims[t - 1]) for t, h in a.quiver.arrows]
     foffs = [0, *itertools.accumulate(r * s for r, s in fshapes)]
-    coeffs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
-    vecs = np.zeros((count, z), dtype=np.int64)
-    vecs[:, compl] = coeffs.reshape(count, dim)
+    vecs = []
+    for coeffs in itertools.product(range(p), repeat=dim):
+        vec = [0] * z
+        for c0, x in zip(compl, coeffs):
+            vec[c0] = x
+        vecs.append(vec)
     return Ext1Space(dim, _unvec(field, vecs, foffs, fshapes), hom)
 
 
@@ -315,11 +318,11 @@ def proj_indec(quiver: Quiver, field: Field, i: int) -> Rep:
     dims = tuple(len(paths_to[v]) for v in range(1, quiver.n + 1))
     maps = []
     for ai, (t, h) in enumerate(quiver.arrows):
-        m = np.zeros((dims[h - 1], dims[t - 1]), dtype=np.int64)
+        m = [[0] * dims[t - 1] for _ in range(dims[h - 1])]
         index_h = {p: k for k, p in enumerate(paths_to[h])}
         for k, p in enumerate(paths_to[t]):
-            m[index_h[p + (ai,)], k] = 1
-        maps.append(Matrix(field, m))
+            m[index_h[p + (ai,)]][k] = 1
+        maps.append(Matrix(field, m, dims[t - 1]))
     return Rep(quiver, field, dims, maps)
 
 
@@ -335,10 +338,10 @@ def _power_eventual(maps: tuple[Matrix, ...], total: int) -> tuple[Matrix, ...]:
     """phi^(2^k) with 2^k >= total; image/kernel then split the module."""
     out = []
     for x in maps:
-        e = x.a
+        e, p = x.entries(), x.field.p
         for _ in range((max(total, 1) - 1).bit_length()):
-            e = e @ e % x.field.p
-        out.append(Matrix(x.field, e))
+            e = [[v % p for v in r] for r in _mul(e, e, x.cols)]
+        out.append(Matrix(x.field, e, x.cols))
     return tuple(out)
 
 
@@ -354,7 +357,7 @@ def _sub_rep(m: Rep, vecs: list[list[list[int]]]) -> Rep:
         img = [[sum(x * y for x, y in zip(arow, v)) % p for v in vecs[t - 1]] for arow in am]
         sol = _solve_rows(span_h, img, dims[h - 1], dims[t - 1], p)
         assert sol is not None, "subspace not arrow-stable"
-        maps.append(_matrix_of_rows(m.field, sol, dims[h - 1], dims[t - 1]))
+        maps.append(Matrix(m.field, sol, dims[t - 1]))
     return Rep(m.quiver, m.field, dims, maps)
 
 
@@ -363,9 +366,9 @@ def _image_kernel_cols(e: tuple[Matrix, ...]) -> tuple[list, list]:
     e_v) and the kernel of e_v."""
     im, ker = [], []
     for x in e:
-        piv = rref(x)[1]
-        im.append(x.a[:, list(piv)].T.tolist())
-        ker.append([v.tolist() for v in kernel_basis(x)])
+        cols = _columns(x.entries(), x.cols)
+        im.append([list(cols[c]) for c in rref(x)[1]])
+        ker.append(kernel_basis(x))
     return im, ker
 
 
@@ -447,11 +450,11 @@ def _combine_rect(a: Rep, b: Rep, basis, coeffs) -> tuple[Matrix, ...]:
     """The morphism a -> b summing coeffs_j basis_j, vertex by vertex."""
     out = []
     for v in range(a.quiver.n):
-        acc = np.zeros((b.dims[v], a.dims[v]), dtype=np.int64)
+        acc = [[0] * a.dims[v] for _ in range(b.dims[v])]
         for c, g in zip(coeffs, basis):
             if c:
-                acc += c * g[v].a
-        out.append(Matrix(a.field, acc))
+                acc = [[x + c * y for x, y in zip(r, s)] for r, s in zip(acc, g[v].entries())]
+        out.append(Matrix(a.field, acc, a.dims[v]))
     return tuple(out)
 
 
@@ -602,7 +605,7 @@ def enumerate_reps(
                 r, c = dims[h - 1], dims[t - 1]
                 seg = flat[pos:pos + sizes[i]]
                 pos += sizes[i]
-                maps.append(Matrix(field, np.array(seg, dtype=np.int64).reshape(r, c)))
+                maps.append(Matrix(field, [seg[j * c:j * c + c] for j in range(r)], c))
             registry.classify(Rep(quiver, field, dims, maps))
     return registry
 

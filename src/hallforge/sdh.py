@@ -124,6 +124,7 @@ class SDH:
         self.stable = self.derived.backend.registry
         self.zero_class = self.stable.classify(cat.zero_complex())
         self._normal: dict[int, tuple] = {}  # strict id -> _rewrite of its object
+        self._key_classes: dict[tuple, dict] = {}  # (gamma, m_id) -> _key_class
 
     # -- hom bookkeeping --
 
@@ -269,9 +270,12 @@ class SDH:
         return self._rel_form(self._key_class(*kx), self._key_class(*ky))
 
     def _key_class(self, gamma: tuple, m_id: int) -> dict:
-        """Degreewise class of K_gamma ⊕ m, gamma of any sign."""
-        gens = [(self.torus.gens[k], g) for k, g in zip(self.torus.keys, gamma)]
-        return _class_sum([(self.stable.object(m_id), 1)] + gens)
+        """Degreewise class of K_gamma ⊕ m, gamma of any sign, once per key."""
+        hit = self._key_classes.get((gamma, m_id))
+        if hit is None:
+            gens = [(self.torus.gens[k], g) for k, g in zip(self.torus.keys, gamma)]
+            hit = self._key_classes[gamma, m_id] = _class_sum([(self.stable.object(m_id), 1)] + gens)
+        return hit
 
     # -- product on stable classes with negative-ext corrections --
 

@@ -9,11 +9,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hallforge.cli as cli
-from hallforge import complexes as cx, files, hall
+from hallforge import complexes as cx, files, hall, sdh
 from hallforge.complexes import Complex, contractible_generators, direct_sum_cx, is_minimal
 from hallforge.errors import SpecError
 from hallforge.files import AlgebraHandle, CategorySpec, write_element
@@ -976,11 +975,8 @@ def _built(cat, enc, validate):
     mults = {n: tuple(m) for n, m in comps}
     maps = {}
     for n, blocks in diffs:
-        src, tgt = cat.rep_of(mults[n]).dims, cat.rep_of(mults[cat.next_deg(n)]).dims
-        maps[n] = tuple(
-            Matrix(cat.field, np.array(rows, dtype=np.int64).reshape(t, s))
-            for rows, s, t in zip(blocks, src, tgt)
-        )
+        src = cat.rep_of(mults[n]).dims
+        maps[n] = tuple(Matrix(cat.field, rows, s) for rows, s in zip(blocks, src))
     return Complex(cat, mults, maps, validate=validate)
 
 
@@ -1099,3 +1095,45 @@ def test_sdh_tw_table_strips_each_strict_class_once(tmp_path, monkeypatch):
     # every strict middle is rewritten once per run, however many products
     # it appears in: 13 encodings, where each product rewrote its own
     assert len(calls) == 13 and set(calls.values()) == {1}
+
+
+def test_sdh_tw_table_builds_each_key_class_once(tmp_path, monkeypatch):
+    keys, sums = set(), []
+    class_sum, key_class = sdh._class_sum, sdh.SDH._key_class
+
+    def recording(self, gamma, m_id):
+        keys.add((gamma, m_id))
+        return key_class(self, gamma, m_id)
+
+    monkeypatch.setattr(sdh, "_class_sum", lambda parts: sums.append(1) or class_sum(parts))
+    monkeypatch.setattr(sdh.SDH, "_key_class", recording)
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "1", "--algebra", "sdh-tw"]
+    assert cli.main(argv + ["--out", str(tmp_path / "t.json")]) == 0
+    # a key's degreewise class depends on the key alone: one sum per key,
+    # however many pairs of terms the key meets
+    assert keys and len(sums) == len(keys)
+
+
+def test_cli_commands_leave_numpy_unimported(tmp_path):
+    abelian = write_spec(tmp_path, A2_ABELIAN, "abelian.json")
+    bounded = write_spec(tmp_path, A2_BOUNDED, "bounded.json")
+    runs = [
+        ["verify", "associativity", "--spec", abelian, "--dim-cap", "1",
+         "--out", str(tmp_path / "report.json")],
+        ["table", "--spec", bounded, "--dim-cap", "1", "--algebra", "dh",
+         "--out", str(tmp_path / "table.json")],
+    ]
+    code = (
+        "import json, sys\n"
+        "from hallforge import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(files.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]

@@ -47,6 +47,16 @@ from hallforge.quiver import (
     proj_indec,
 )
 
+
+def arr(m):
+    """A Matrix's entries as an int64 array of its shape."""
+    return np.array(m.entries(), dtype=np.int64).reshape(m.shape)
+
+
+def from_arr(field, a):
+    """The Matrix of a 2-d integer array, its shape kept."""
+    return Matrix(field, a.tolist(), a.shape[1])
+
 F2 = Field(2)
 F3 = Field(3)
 A1 = Quiver(1, [])
@@ -121,11 +131,11 @@ def all_subspaces(p, d, k):
     seen = {}
     for flat in itertools.product(range(p), repeat=d * k):
         m = np.array(flat, dtype=np.int64).reshape(d, k)
-        if rank(Matrix(Field(p), m)) != k:
+        if rank(from_arr(Field(p), m)) != k:
             continue
         # canonicalize by the reduced row form of the transpose (row space)
-        red, _ = rref(Matrix(Field(p), m.T % p))
-        seen.setdefault(red.entries(), red.a.T.copy())
+        red, _ = rref(from_arr(Field(p), m.T % p))
+        seen.setdefault(red.entries(), arr(red).T.copy())
     return list(seen.values())
 
 
@@ -142,8 +152,8 @@ def aut_count(m):
             acc = np.zeros((m.dims[v], m.dims[v]), dtype=np.int64)
             for c, g in zip(coeffs, basis):
                 if c:
-                    acc += c * g[v].a
-            mm = Matrix(m.field, acc % p)
+                    acc += c * arr(g[v])
+            mm = from_arr(m.field, acc % p)
             if rank(mm) != m.dims[v]:
                 ok = False
                 break
@@ -168,8 +178,8 @@ def filtration_count(b, a, c):
         sub_maps = []
         ok = True
         for i, (t, h) in enumerate(q.arrows):
-            img = Matrix(field, np.dot(b.maps[i].a, combo[t - 1]) % p)
-            sol = solve_matrix(Matrix(field, combo[h - 1]), img)
+            img = from_arr(field, np.dot(arr(b.maps[i]), combo[t - 1]) % p)
+            sol = solve_matrix(from_arr(field, combo[h - 1]), img)
             if sol is None:
                 ok = False
                 break
@@ -188,14 +198,14 @@ def filtration_count(b, a, c):
                 cand = np.zeros(b.dims[v], dtype=np.int64)
                 cand[e] = 1
                 test = np.stack(cols + [cand], axis=1) if cols else cand.reshape(-1, 1)
-                if rank(Matrix(field, test)) == len(cols) + 1:
+                if rank(from_arr(field, test)) == len(cols) + 1:
                     cols.append(cand)
             bases.append(np.stack(cols, axis=1) if cols else np.zeros((b.dims[v], 0), dtype=np.int64))
         for i, (t, h) in enumerate(q.arrows):
-            rhs = Matrix(field, np.dot(b.maps[i].a, bases[t - 1]) % p)
-            sol = solve_matrix(Matrix(field, bases[h - 1]), rhs)
+            rhs = from_arr(field, np.dot(arr(b.maps[i]), bases[t - 1]) % p)
+            sol = solve_matrix(from_arr(field, bases[h - 1]), rhs)
             k_h, k_t = c.dims[h - 1], c.dims[t - 1]
-            quo_maps.append(Matrix(field, sol.a[k_h:, k_t:]))
+            quo_maps.append(from_arr(field, arr(sol)[k_h:, k_t:]))
         quo = Rep(
             q,
             field,
@@ -559,8 +569,8 @@ def test_backend_decode_inverts_encode():
         K = contractible_generators(cat)[gen]
         back = cbk.decode(cbk.encode(K))
         assert back.encoding() == K.encoding()
-        assert {n: [x.a.shape for x in d] for n, d in back.diffs.items()} == {
-            n: [x.a.shape for x in d] for n, d in K.diffs.items()
+        assert {n: [x.shape for x in d] for n, d in back.diffs.items()} == {
+            n: [x.shape for x in d] for n, d in K.diffs.items()
         }
 
 

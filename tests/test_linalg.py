@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hallforge.linalg import (
     Field,
     Matrix,
+    block2x2,
     kernel_basis,
     rank,
     rref,
@@ -21,6 +22,16 @@ from hallforge.linalg import (
 
 def mat(p, rows):
     return Matrix(Field(p), rows)
+
+
+def arr(m):
+    """A Matrix's entries as an int64 array of its shape."""
+    return np.array(m.entries(), dtype=np.int64).reshape(m.shape)
+
+
+def from_arr(field, a):
+    """The Matrix of a 2-d integer array, its shape kept."""
+    return Matrix(field, a.tolist(), a.shape[1])
 
 
 def test_field_validates_prime():
@@ -62,27 +73,27 @@ def test_kernel_frozen_example():
     members = [
         v
         for v in itertools.product(range(2), repeat=2)
-        if tuple(np.dot(m.a, v) % 2) == (0, 0)
+        if tuple(np.dot(arr(m), v) % 2) == (0, 0)
     ]
     assert members == [(0, 0), (1, 1)]
 
 
 def test_solve_frozen_example():
     m = mat(2, [[1, 1]])
-    x = solve(m, np.array([1], dtype=np.int64))
-    assert x is not None and tuple(np.dot(m.a, x) % 2) == (1,)
+    x = solve(m, [1])
+    assert x is not None and tuple(np.dot(arr(m), x) % 2) == (1,)
     # all solutions over F_2, by enumeration: (1,0) and (0,1)
     sols = [
         v
         for v in itertools.product(range(2), repeat=2)
-        if tuple(np.dot(m.a, v) % 2) == (1,)
+        if tuple(np.dot(arr(m), v) % 2) == (1,)
     ]
     assert tuple(x) in sols
 
 
 def test_solve_inconsistent():
     m = mat(2, [[1, 1], [1, 1]])
-    assert solve(m, np.array([1, 0], dtype=np.int64)) is None
+    assert solve(m, [1, 0]) is None
 
 
 def test_solve_matrix_multi_rhs():
@@ -117,7 +128,7 @@ def random_matrix(draw, p=None, rows=None, cols=None):
             max_size=r,
         )
     )
-    return Matrix(Field(p), np.array(entries, dtype=np.int64).reshape(r, c))
+    return Matrix(Field(p), entries, c)
 
 
 @given(random_matrix())
@@ -130,7 +141,7 @@ def test_rank_nullity(m):
 @settings(max_examples=120, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
-        assert not np.any(np.dot(m.a, v) % m.field.p)
+        assert not np.any(np.dot(arr(m), v) % m.field.p)
 
 
 @given(random_matrix(), st.data())
@@ -141,13 +152,13 @@ def test_solve_agrees_with_enumeration(m, data):
         data.draw(st.lists(st.integers(0, p - 1), min_size=m.rows, max_size=m.rows)),
         dtype=np.int64,
     )
-    x = solve(m, b)
+    x = solve(m, b.tolist())
     if x is not None:
-        assert np.array_equal(np.dot(m.a, x) % p, b % p)
+        assert np.array_equal(np.dot(arr(m), np.array(x, dtype=np.int64)) % p, b % p)
     elif p**m.cols <= 625:
         for v in itertools.product(range(p), repeat=m.cols):
             assert not np.array_equal(
-                np.dot(m.a, np.array(v, dtype=np.int64)) % p, b % p
+                np.dot(arr(m), np.array(v, dtype=np.int64)) % p, b % p
             )
 
 
@@ -156,7 +167,7 @@ def test_solve_agrees_with_enumeration(m, data):
 def test_rref_is_row_equivalent_and_reduced(m):
     red, piv = rref(m)
     assert rank(red) == rank(m) == len(piv)
-    a = red.a
+    a = arr(red)
     for k, c in enumerate(piv):
         row = k
         assert a[row, c] == 1
@@ -238,30 +249,89 @@ def _system(draw):
     else:
         rhs = np.array(draw(st.lists(entry, min_size=rows * k, max_size=rows * k)), dtype=np.int64)
     rhs = rhs.reshape(rows, k)
-    return p, Matrix(Field(p), a), rhs
+    return p, from_arr(Field(p), a), rhs
 
 
 @given(_system())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_elimination_matches_numpy_reference(system):
     p, m, rhs = system
-    ref, ref_piv = _rref_array(np.array(m.a), p)
+    ref, ref_piv = _rref_array(arr(m), p)
     red, piv = rref(m)
     assert piv == ref_piv
-    assert red.entries() == Matrix(m.field, ref).entries()
+    assert red.entries() == from_arr(m.field, ref).entries()
     assert rank(m) == len(ref_piv)
-    ker, ref_ker = kernel_basis(m), _reference_kernel(np.array(m.a), p)
+    ker, ref_ker = kernel_basis(m), _reference_kernel(arr(m), p)
     assert len(ker) == len(ref_ker)
     for v, w in zip(ker, ref_ker):
-        assert v.dtype == w.dtype and v.tolist() == w.tolist()
-    want = _reference_solve_matrix(np.array(m.a), rhs % p, p)
-    got = solve_matrix(m, Matrix(m.field, rhs))
+        assert all(type(x) is int for x in v) and v == w.tolist()
+    want = _reference_solve_matrix(arr(m), rhs % p, p)
+    got = solve_matrix(m, from_arr(m.field, rhs))
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.entries() == Matrix(m.field, want).entries()
+        assert got.entries() == from_arr(m.field, want).entries()
     for j in range(rhs.shape[1]):
-        want = _reference_solve_matrix(np.array(m.a), rhs[:, j:j + 1] % p, p)
-        got = solve(m, rhs[:, j])
+        want = _reference_solve_matrix(arr(m), rhs[:, j:j + 1] % p, p)
+        got = solve(m, rhs[:, j].tolist())
         assert (got is None) == (want is None)
         if got is not None:
-            assert got.dtype == np.int64 and got.tolist() == want[:, 0].tolist()
+            assert all(type(x) is int for x in got) and got == want[:, 0].tolist()
+
+
+# ---- the boundary type against the numpy-backed Matrix it replaced ----
+
+
+@st.composite
+def _operands(draw):
+    """(p, a, b, c): integer arrays, a and b of one shape (r, k) and c of
+    shape (k, s), any of r, k, s possibly 0, entries of any sign and size
+    (a Matrix reduces them mod p, as the numpy one did)."""
+    p = draw(st.sampled_from([2, 3, 5, 97]))
+    r, k, s = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
+
+    def block(rows, cols):
+        flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+    return p, block(r, k), block(r, k), block(k, s)
+
+
+@given(_operands())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_matrix_matches_numpy_reference(ops):
+    p, a, b, c = ops
+    f = Field(p)
+    ma, mb, mc = (from_arr(f, x) for x in (a, b, c))
+
+    def same(m, ref):
+        assert m.field == f and m.shape == ref.shape
+        assert m.entries() == tuple(map(tuple, (ref % p).tolist()))
+        assert all(type(x) is int for row in m.entries() for x in row)
+
+    same(ma, a)
+    same(ma @ mc, a @ c)
+    same(ma + mb, a + b)
+    same(ma - mb, a - b)
+    same(-ma, -a)
+    same(block2x2(f, ma, ma @ mc, mb, mb @ mc),
+         np.concatenate([np.concatenate([a, a @ c], axis=1), np.concatenate([b, b @ c], axis=1)]))
+    same(Matrix.zeros(f, *a.shape), np.zeros(a.shape, dtype=np.int64))
+    same(Matrix.identity(f, a.shape[0]), np.eye(a.shape[0], dtype=np.int64))
+    assert ma.is_zero() == (not (a % p).any())
+    assert (ma == mb) == np.array_equal(a % p, b % p)
+    assert ma == from_arr(f, a % p + p) and hash(ma) == hash(from_arr(f, a % p + p))
+    assert ma != from_arr(Field(7 if p != 7 else 5), a)
+    # a 0 x k matrix has no rows at any k: the stored shape tells them apart
+    assert Matrix.zeros(f, 0, a.shape[1]) != Matrix.zeros(f, 0, a.shape[1] + 1)
+    assert Matrix.zeros(f, a.shape[0], 0).shape == (a.shape[0], 0)
+    with pytest.raises(ValueError):
+        ma @ from_arr(f, np.zeros((a.shape[1] + 1, 1), dtype=np.int64))
+    with pytest.raises(ValueError):
+        ma + from_arr(f, np.zeros((a.shape[0], a.shape[1] + 1), dtype=np.int64))
+    ker, ref_ker = kernel_basis(ma), _reference_kernel(a % p, p)
+    assert ker == [v.tolist() for v in ref_ker]
+    for j in range(c.shape[1]):
+        rhs = (a @ c[:, j:j + 1]) % p  # consistent: c's column solves it
+        got, want = solve(ma, rhs[:, 0].tolist()), _reference_solve_matrix(a % p, rhs, p)
+        assert want is not None and got == want[:, 0].tolist()

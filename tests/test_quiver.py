@@ -38,6 +38,16 @@ from hallforge.quiver import (
     rep_registry,
 )
 
+
+def arr(m):
+    """A Matrix's entries as an int64 array of its shape."""
+    return np.array(m.entries(), dtype=np.int64).reshape(m.shape)
+
+
+def from_arr(field, a):
+    """The Matrix of a 2-d integer array, its shape kept."""
+    return Matrix(field, a.tolist(), a.shape[1])
+
 F2 = Field(2)
 F3 = Field(3)
 A2 = Quiver(2, [(1, 2)])
@@ -61,8 +71,8 @@ def brute_hom_dim(a, b):
             gs.append(seg.reshape(r, c) if sizes[v] else np.zeros((r, c), dtype=np.int64))
         ok = True
         for i, (t, h) in enumerate(a.quiver.arrows):
-            lhs = np.dot(gs[h - 1], a.maps[i].a) % p
-            rhs = np.dot(b.maps[i].a, gs[t - 1]) % p
+            lhs = np.dot(gs[h - 1], arr(a.maps[i])) % p
+            rhs = np.dot(arr(b.maps[i]), gs[t - 1]) % p
             if not np.array_equal(lhs, rhs):
                 ok = False
                 break
@@ -144,7 +154,7 @@ def raw_cocycle_class_counts(a, c, registry):
         for i, (r, s) in enumerate(fshapes):
             seg = np.array(flat[pos:pos + sizes[i]], dtype=np.int64)
             pos += sizes[i]
-            fs.append(Matrix(a.field, seg.reshape(r, s) if sizes[i] else np.zeros((r, s), dtype=np.int64)))
+            fs.append(from_arr(a.field, seg.reshape(r, s) if sizes[i] else np.zeros((r, s), dtype=np.int64)))
         b = middle_term(a, c, tuple(fs))
         buckets[registry.classify(b)] = buckets.get(registry.classify(b), 0) + 1
     ext = ext1_space(a, c)
@@ -390,7 +400,7 @@ def random_rep(draw, quiver, p):
                 max_size=r,
             )
         )
-        maps.append(Matrix(field, np.array(entries, dtype=np.int64).reshape(r, c)))
+        maps.append(Matrix(field, entries, c))
     return Rep(quiver, field, dims, maps)
 
 
@@ -450,7 +460,7 @@ def test_find_iso_on_zero_objects():
     for a, b in ((zero, zero), (direct_sum(zero, zero), zero)):
         phi = find_iso(a, b)
         assert phi is not None
-        assert [m.a.shape for m in phi] == [(0, 0), (0, 0)]
+        assert [m.shape for m in phi] == [(0, 0), (0, 0)]
     assert find_iso(zero, Rep.simple(A2, F2, 1)) is None
 
 
@@ -493,7 +503,7 @@ def _rebuilt(quiver, field, enc):
     """The rep of `quiver` over `field` whose encoding is `enc`."""
     dims, entries = enc
     maps = [
-        Matrix(field, np.array(rows, dtype=np.int64).reshape(dims[h - 1], dims[t - 1]))
+        Matrix(field, rows, dims[t - 1])
         for (t, h), rows in zip(quiver.arrows, entries)
     ]
     return Rep(quiver, field, dims, maps)
@@ -699,27 +709,27 @@ def _reference_ext1(a, c):
             continue
         if goffs[t] > goffs[t - 1]:
             d[rows, goffs[t - 1]:goffs[t]] = np.kron(
-                c.maps[i].a, np.eye(a.dims[t - 1], dtype=np.int64)
+                arr(c.maps[i]), np.eye(a.dims[t - 1], dtype=np.int64)
             ) % p
         if goffs[h] > goffs[h - 1]:
             d[rows, goffs[h - 1]:goffs[h]] = (
                 d[rows, goffs[h - 1]:goffs[h]]
-                - np.kron(np.eye(c.dims[h - 1], dtype=np.int64), a.maps[i].a.T)
+                - np.kron(np.eye(c.dims[h - 1], dtype=np.int64), arr(a.maps[i]).T)
             ) % p
     compl = []
     if z:
-        piv = rref(Matrix(a.field, d))[1]
+        piv = rref(from_arr(a.field, d))[1]
         r = len(piv)
         if z > r:
             probe = np.concatenate([d[:, list(piv)], np.eye(z, dtype=np.int64)], axis=1)
-            compl = [c0 - r for c0 in rref(Matrix(a.field, probe))[1] if c0 >= r]
+            compl = [c0 - r for c0 in rref(from_arr(a.field, probe))[1] if c0 >= r]
             assert len(compl) == z - r
     reps = []
     for coeffs in itertools.product(range(p), repeat=len(compl)):
         vec = np.zeros(z, dtype=np.int64)
         vec[compl] = coeffs
         reps.append(tuple(
-            Matrix(a.field, vec[foffs[i]:foffs[i + 1]].reshape(shape))
+            from_arr(a.field, vec[foffs[i]:foffs[i + 1]].reshape(shape))
             for i, shape in enumerate(fshapes)
         ))
     return len(compl), reps
@@ -777,12 +787,12 @@ def _kron_constraint_matrix(a, b):
         block = np.zeros((rcount, total), dtype=np.int64)
         if sizes[h - 1]:
             block[:, offs[h - 1]:offs[h]] = np.kron(
-                np.eye(b.dims[h - 1], dtype=np.int64), a.maps[i].a.T
+                np.eye(b.dims[h - 1], dtype=np.int64), arr(a.maps[i]).T
             ) % p
         if sizes[t - 1]:
             block[:, offs[t - 1]:offs[t]] = (
                 block[:, offs[t - 1]:offs[t]]
-                - np.kron(b.maps[i].a, np.eye(a.dims[t - 1], dtype=np.int64)) % p
+                - np.kron(arr(b.maps[i]), np.eye(a.dims[t - 1], dtype=np.int64)) % p
             ) % p
         rows.append(block)
     if rows:
