@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import files
 from .errors import (
@@ -75,19 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _write_out(path, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as e:
-        raise SpecError(f"cannot write --out {path}: {e.strerror}")
-
-
 def _emit(doc: dict, out) -> None:
-    text = files.dump_doc(doc)
-    if out:
-        _write_out(out, text)
-    else:
-        sys.stdout.write(text)
+    """Write doc, as it is serialised, into the file out or to stdout."""
+    if not out:
+        files.dump_doc(doc, sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            files.dump_doc(doc, fh)
+    except OSError as e:
+        raise SpecError(f"cannot write --out {out}: {e.strerror}")
 
 
 def cmd_product(args) -> int:
@@ -135,10 +131,9 @@ def cmd_verify(args) -> int:
         report = run_suite(spec, args.suite, cap, cache=cache)
     finally:
         cache.close()
-    text = files.dump_doc(report)
-    sys.stdout.write(text)
+    _emit(report, None)
     if args.out:
-        _write_out(args.out, text)
+        _emit(report, args.out)
     return 0 if report["status"] == "pass" else 1
 
 

@@ -12,6 +12,7 @@ by the backend's one checked reader (`hall._Backend.read`).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -85,32 +86,44 @@ def coeff_from_json(row: dict, q: int):
 # ---- JSON plumbing ----
 
 
-def dump_doc(doc: dict) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True) plus a newline, byte for byte.
+WRITE_CHUNK = 4096  # pieces of text dump_doc joins into one write
 
-    With an indent, json.dumps runs its pure-Python encoder; `_write_indented`
-    writes the same text directly.  Documents holding anything else than
-    str, int, bool, None, finite floats, lists, tuples and str-keyed dicts
-    go to json.dumps itself."""
+
+def dump_doc(doc: dict, f=None) -> str | None:
+    """json.dumps(doc, indent=2, sort_keys=True) plus a newline, byte for
+    byte: written into the text file f as it is serialised, or returned as
+    a str when f is None.
+
+    With an indent, json.dumps runs its pure-Python encoder;
+    `_write_indented` writes the same text directly, WRITE_CHUNK pieces to
+    a write, so neither the whole text nor the list of its pieces is ever
+    held.  A value holding anything else than str, int, bool, None, finite
+    floats, lists, tuples and str-keyed dicts goes to json.dumps itself, in
+    place, which writes what it would inside the whole document.  On a type
+    json.dumps cannot write it raises TypeError, and f may then hold the
+    text up to that value."""
+    if f is None:
+        f = io.StringIO()
+        dump_doc(doc, f)
+        return f.getvalue()
     out: list[str] = []
-    try:
-        _write_indented(doc, out, "\n")
-    except _Unwritten:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def flush():
+        f.write("".join(out))
+        out.clear()
+
+    _write_indented(doc, out, "\n", flush)
     out.append("\n")
-    return "".join(out)
+    flush()
 
 
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class _Unwritten(Exception):
-    """A value `_write_indented` leaves to json.dumps."""
-
-
-def _write_indented(o, out: list, pad: str) -> None:
+def _write_indented(o, out: list, pad: str, flush) -> None:
     """Append the text json.dumps(indent=2, sort_keys=True) gives o, at the
-    indentation where pad (a newline and spaces) starts its lines."""
+    indentation where pad (a newline and spaces) starts its lines, calling
+    flush() whenever out holds WRITE_CHUNK pieces."""
     if isinstance(o, str):
         out.append(_encode_str(o))
     elif o is None:
@@ -131,28 +144,33 @@ def _write_indented(o, out: list, pad: str) -> None:
         sep = "[" + inner
         for item in o:
             out.append(sep)
-            _write_indented(item, out, inner)
+            _write_indented(item, out, inner, flush)
             sep = "," + inner
+            if len(out) >= WRITE_CHUNK:
+                flush()
         out.append(pad + "]")
-    elif isinstance(o, dict):
+    elif isinstance(o, dict) and all(isinstance(k, str) for k in o):
         if not o:
             out.append("{}")
             return
-        if not all(isinstance(k, str) for k in o):
-            raise _Unwritten
         inner = pad + "  "
         sep = "{" + inner
         for k in sorted(o):
             out.append(sep + _encode_str(k) + ": ")
-            _write_indented(o[k], out, inner)
+            _write_indented(o[k], out, inner, flush)
             sep = "," + inner
+            if len(out) >= WRITE_CHUNK:
+                flush()
         out.append(pad + "}")
     else:
-        raise _Unwritten
+        # json.dumps never puts a newline inside a string, so re-padding
+        # its lines indents o as the whole document's encoder would
+        out.append(json.dumps(o, indent=2, sort_keys=True).replace("\n", pad))
 
 
 def write_json(path, doc: dict) -> None:
-    Path(path).write_text(dump_doc(doc), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_doc(doc, fh)
 
 
 def load_json(path) -> dict:

@@ -209,15 +209,23 @@ class _Backend:
         return self._read_tuples(_json_to_enc(enc))
 
     def _read_tuples(self, enc):
-        """read() of an encoding already converted by _json_to_enc."""
-        try:
-            obj = self.decode(enc)
-        except (ValueError, TypeError, IndexError, KeyError, OverflowError,
-                SpecError, WindowOverflow) as e:
-            raise SpecError(f"encoding names no object: {type(e).__name__}: {e}") from None
-        if self.encode(obj) != enc:
-            raise SpecError("encoding is not the canonical one of the object it names")
-        return obj
+        """read() of an encoding already converted by _json_to_enc.  Each
+        distinct encoding is decoded once per backend: `_reads` keeps the
+        object, or the message a rejection raises, by encoding."""
+        got = self._reads.get(enc)
+        if got is None:
+            try:
+                got = self.decode(enc)
+            except (ValueError, TypeError, IndexError, KeyError, OverflowError,
+                    SpecError, WindowOverflow) as e:
+                got = f"encoding names no object: {type(e).__name__}: {e}"
+            else:
+                if self.encode(got) != enc:
+                    got = "encoding is not the canonical one of the object it names"
+            self._reads[enc] = got
+        if type(got) is str:
+            raise SpecError(got)
+        return got
 
     def _witness(self, enc, head: tuple):
         """The object a converted cached middle encoding names, or None
@@ -238,6 +246,7 @@ class RepBackend(_Backend):
         self.field = field
         self.caps = caps
         self.registry = rep_registry(caps)
+        self._reads: dict = {}
 
     def signature(self) -> tuple:
         return ("reps", self.quiver.n, self.quiver.arrows, self.field.p)
@@ -281,6 +290,7 @@ class CxBackend(_Backend):
         self.field = cat.field
         self.caps = caps
         self.registry = self._registry()
+        self._reads: dict = {}
 
     def _registry(self) -> Registry:
         return cx.cx_registry(self.cat, self.caps)
@@ -345,6 +355,10 @@ class StableBackend(CxBackend):
 
     record_fields = ("neg_ext",)
 
+    def __init__(self, cat: cx.ComplexCategory, caps: Caps = DEFAULT_CAPS):
+        super().__init__(cat, caps)
+        self._minimal: dict[tuple, bool] = {}  # is_minimal of read witnesses, by encoding
+
     def _registry(self) -> Registry:
         return cx.stable_registry(self.cat, self.caps)
 
@@ -395,7 +409,10 @@ class StableBackend(CxBackend):
             return None
         if self._alternating_class(obj.comps) != alt:
             return None
-        return obj if cx.is_minimal(obj) else None
+        minimal = self._minimal.get(enc)
+        if minimal is None:
+            minimal = self._minimal[enc] = cx.is_minimal(obj)
+        return obj if minimal else None
 
 
 # ---- content-addressed structure-constant cache ----

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -316,6 +317,22 @@ def test_exit_2_on_out_into_missing_directory(tmp_path, capsys, command):
     rc = cli.main(argv + ["--out", str(tmp_path / "missing" / "out.json")])
     assert rc == 2
     assert "error[SPEC_INVALID]: cannot write --out" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_exit_2_on_out_to_a_full_device(tmp_path):
+    # every write to /dev/full fails with ENOSPC; the table (about 12 kB)
+    # outgrows the file buffer, so a write fails before the close does
+    spec = write_spec(tmp_path, A2_ABELIAN)
+    src = str(Path(files.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallforge.cli", "table", "--spec", spec, "--dim-cap", "1,1",
+         "--out", "/dev/full"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error[SPEC_INVALID]: cannot write --out /dev/full" in proc.stderr
 
 
 def test_exit_3_on_long_period_instead_of_hanging(tmp_path, capsys):
@@ -810,6 +827,48 @@ def test_warm_dh_table_computes_no_pair(tmp_path, monkeypatch):
     assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
     assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
     assert _sha(tmp_path / "warm.json") == DH_TOTAL3_SHA256
+
+
+def test_warm_dh_table_decodes_each_witness_once(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "dh", "--out"]
+    assert cli.main(argv + [str(tmp_path / "cold.json")]) == 0
+    decoded = Counter()
+    reads = [0]
+    real_decode, real_read = hall.CxBackend.decode, hall._Backend._read_tuples
+
+    def decode(bk, enc):
+        decoded[id(bk), enc] += 1
+        return real_decode(bk, enc)
+
+    def read_tuples(bk, enc):
+        reads[0] += 1
+        return real_read(bk, enc)
+
+    monkeypatch.setattr(hall.CxBackend, "decode", decode)
+    monkeypatch.setattr(hall._Backend, "_read_tuples", read_tuples)
+    assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    assert _sha(tmp_path / "warm.json") == DH_TOTAL3_SHA256
+    # the cached records repeat witnesses; each distinct one is decoded once
+    assert decoded and set(decoded.values()) == {1}
+    assert reads[0] > len(decoded)
+
+
+def test_streaming_the_dh_table_peaks_below_1mb(tmp_path):
+    # the A2 [0, 2] dh table at 2,total:3 (perfbench's bounded-dh-table) is
+    # about 1 MB of text; writing it holds only a chunk of it at a time
+    spec = CategorySpec.from_dict(A2_BOUNDED_WIDE)
+    doc = files.compute_table(AlgebraHandle(spec, "dh"), files.parse_dim_cap(spec, "2,total:3"))
+    out = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        files.write_json(out, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 1_000_000
+    assert out.read_text(encoding="utf-8") == files.dump_doc(doc)
+    assert peak < 1_000_000
 
 
 def _stable_heads(doc, cap):

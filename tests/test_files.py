@@ -1,5 +1,6 @@
 """File formats, spec validation, the persistent cache, and table docs."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -521,35 +522,63 @@ class _Name(str):
     pass
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        [],
-        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
-        {"text": "héllo wörld ∑ 🜁", "esc": 'quote " slash \\ tab \t nl \n \x00 \x1f \x7f'},
-        {"é": 1, "Z": 2, "a": 3, "": 4, "ab": 5, "a b": 6},
-        {"nested": [[1, [2, [3, []]]], [[{"k": [True, False, None]}]]], "t": (1, (2, 3))},
-        {"n": [0, -1, 2**70, -(2**70)], "f": [0.0, -0.0, 1.5, 1e300, 2.5e-8, 0.1]},
-        {"int subclass": _Count(7), "str subclass": _Name("x"), _Name("key"): True},
+_PLAIN_DOCS = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+    {"text": "héllo wörld ∑ 🜁", "esc": 'quote " slash \\ tab \t nl \n \x00 \x1f \x7f'},
+    {"é": 1, "Z": 2, "a": 3, "": 4, "ab": 5, "a b": 6},
+    {"nested": [[1, [2, [3, []]]], [[{"k": [True, False, None]}]]], "t": (1, (2, 3))},
+    {"n": [0, -1, 2**70, -(2**70)], "f": [0.0, -0.0, 1.5, 1e300, 2.5e-8, 0.1]},
+    {"int subclass": _Count(7), "str subclass": _Name("x"), _Name("key"): True},
+]
+
+_FALLBACK_DOCS = [
+    {2: "int key", 1: "int key"},
+    {None: 1},
+    {"v": {2.5: "float key"}},
+    {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+    [{"deep": {True: False}}],
+]
+
+# rows shaped like a table's products, several WRITE_CHUNKs of pieces, with
+# values json.dumps writes after the first chunks have gone out
+_LARGE_DOC = {
+    "products": [
+        {"left": i, "right": -i, "terms": [{"coeff": f"{i}/7", "encoding": [[i, 1], [2, i]]}]}
+        for i in range(files.WRITE_CHUNK // 4)
     ],
-)
+    "tail": [{3: "int key"}, float("nan"), {"k": [float("-inf")]}],
+}
+
+
+@pytest.mark.parametrize("doc", _PLAIN_DOCS)
 def test_dump_doc_matches_json_dumps(doc):
     assert dump_doc(doc) == _json_indented(doc)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {2: "int key", 1: "int key"},
-        {None: 1},
-        {"v": {2.5: "float key"}},
-        {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
-        [{"deep": {True: False}}],
-    ],
-)
+@pytest.mark.parametrize("doc", _FALLBACK_DOCS + [_LARGE_DOC])
 def test_dump_doc_falls_back_to_json_dumps(doc):
     assert dump_doc(doc) == _json_indented(doc)
+
+
+class _Writes(io.StringIO):
+    """A text file that counts the writes into it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("doc", _PLAIN_DOCS + _FALLBACK_DOCS + [_LARGE_DOC])
+def test_dump_doc_streams_what_it_returns(doc):
+    f = _Writes()
+    assert dump_doc(doc, f) is None
+    assert f.getvalue() == dump_doc(doc)
+    if doc is _LARGE_DOC:
+        assert f.writes >= 5
 
 
 def test_dump_doc_raises_like_json_dumps_on_unknown_types():
@@ -558,3 +587,5 @@ def test_dump_doc_raises_like_json_dumps_on_unknown_types():
             _json_indented(doc)
         with pytest.raises(TypeError):
             dump_doc(doc)
+        with pytest.raises(TypeError):
+            dump_doc(doc, io.StringIO())

@@ -721,6 +721,25 @@ def test_a_damaged_record_names_only_objects_read_accepts(kind, data):
 
 
 
+def test_read_decodes_each_distinct_encoding_once(monkeypatch):
+    # accepted and rejected encodings alike are decoded once per backend,
+    # and a rejection raises the same SpecError every time
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=1)
+    bk = CxBackend(cat)
+    decoded = []
+    real = CxBackend.decode
+    monkeypatch.setattr(CxBackend, "decode", lambda self, enc: decoded.append(enc) or real(self, enc))
+    good = json.loads(json.dumps(bk.encode(cat.stalk(1, 0))))
+    bad = [[[0, [1, -1]], [1, [1, 0]]], [[0, [[[0]], [[0]]]]]]
+    messages = set()
+    for _ in range(3):
+        assert bk.read(good).encoding() == bk.encode(cat.stalk(1, 0))
+        with pytest.raises(SpecError) as e:
+            bk.read(bad)
+        messages.add(str(e.value))
+    assert len(decoded) == 2 and len(messages) == 1
+
+
 def test_rejected_multiplicities_are_not_built_or_cached():
     # a multiplicity vector one entry too long, as an element file could
     # hold it: read rejects it before any representation is built for it,
