@@ -13,6 +13,7 @@ undefined on the backend (no total, relative, or derived Euler data).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import files
@@ -77,7 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(doc: dict, out) -> None:
     """Write doc, as it is serialised, into the file out or to stdout."""
     if not out:
-        files.dump_doc(doc, sys.stdout)
+        try:
+            files.dump_doc(doc, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError as e:
+            # the reader is gone: point stdout at devnull so the flush at exit
+            # has nowhere to fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SpecError(f"cannot write stdout: {e.strerror}")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:

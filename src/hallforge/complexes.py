@@ -33,7 +33,6 @@ d h + h d = id directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 
 from .config import Caps, DEFAULT_CAPS
@@ -501,19 +500,20 @@ def shift(x: Complex, k: int) -> Complex:
 # ---- degree-k map spaces ----
 
 
-@dataclass
 class _MapSpace:
     """Layout of degree-k maps f_n: x_n -> y_{n+k} in two coordinate systems:
     hom-basis coefficients (the unknowns) and raw matrix entries (where
     subspace comparisons happen)."""
 
-    degrees: list[int]
-    stacks: dict  # n -> ComplexCategory.hom_stack of the hom basis at degree n
-    var_start: dict  # n -> column of the first degree-n coefficient
-    nvars: int
-    raw_offsets: dict  # n -> per-vertex offsets into the raw vector, then the end
-    raw_dim: int
-    shapes: dict  # n -> per-vertex (rows, cols)
+    def __init__(self, degrees: list[int], stacks: dict, var_start: dict, nvars: int,
+                 raw_offsets: dict, raw_dim: int, shapes: dict):
+        self.degrees = degrees
+        self.stacks = stacks  # n -> ComplexCategory.hom_stack of the hom basis at degree n
+        self.var_start = var_start  # n -> column of the first degree-n coefficient
+        self.nvars = nvars
+        self.raw_offsets = raw_offsets  # n -> per-vertex offsets into the raw vector, then the end
+        self.raw_dim = raw_dim
+        self.shapes = shapes  # n -> per-vertex (rows, cols)
 
     def columns(self, n: int) -> slice:
         """Columns of the degree-n coefficients, in hom-basis order."""
@@ -754,12 +754,12 @@ def stable_hom_card(x: Complex, y: Complex) -> int:
     return x.cat.field.p ** stable_hom_dim(x, y)
 
 
-@dataclass
 class CxExt1:
     """Ext^1 of a pair of complexes: dimension plus class representatives."""
 
-    dim: int
-    reps: list[dict] | None  # each: degree -> vertex matrices f_n: a_n -> c_{n+1}
+    def __init__(self, dim: int, reps: list[dict] | None):
+        self.dim = dim
+        self.reps = reps  # each: degree -> vertex matrices f_n: a_n -> c_{n+1}
 
 
 def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool = True) -> CxExt1:
@@ -905,6 +905,8 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
                 diffs.pop(cat.prev_deg(deg), None)
         key = generator_key(i, n)
         exps[key] = exps.get(key, 0) + 1
+    if not exps:  # already minimal, and x was validated when it was built
+        return x, exps
     out_diffs = {n: tuple(Matrix(cat.field, a, w) for a, w in zip(d, cat.rep_of(comps[n]).dims))
                  for n, d in diffs.items()}
     return Complex(cat, comps, out_diffs), exps

@@ -20,7 +20,6 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from . import complexes as cx
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
     DerivedUndefined,
@@ -36,7 +35,6 @@ from .hall import (
 )
 from .linalg import Field
 from .quiver import Quiver, enumerate_reps
-from .sdh import SDH
 
 FORMAT_VERSION = 1
 
@@ -336,11 +334,12 @@ class CategorySpec:
     def field_obj(self) -> Field:
         return Field(self.q)
 
-    def complex_category(self) -> cx.ComplexCategory:
+    def complex_category(self) -> ComplexCategory:
         if self.backend == "abelian":
             raise SpecError("abelian backend has no complex category")
+        from .complexes import ComplexCategory
         if self.backend == "bounded":
-            return cx.ComplexCategory(
+            return ComplexCategory(
                 self.quiver,
                 self.field_obj(),
                 "bounded",
@@ -348,7 +347,7 @@ class CategorySpec:
                 hi=self.hi,
                 headroom=self.headroom,
             )
-        return cx.ComplexCategory(self.quiver, self.field_obj(), "periodic", period=self.period)
+        return ComplexCategory(self.quiver, self.field_obj(), "periodic", period=self.period)
 
     def make_backend(self):
         if self.backend == "abelian":
@@ -525,6 +524,7 @@ class AlgebraHandle:
             self.hall = HallAlgebra(self.backend, cache=cache)
             self.sdh = None
         else:
+            from .sdh import SDH
             self.sdh = SDH(spec.complex_category(), spec.caps, cache=cache)
             self.hall = self.sdh.strict
             self.backend = self.hall.backend
@@ -736,7 +736,8 @@ def grid_class_ids(handle: AlgebraHandle, cap: dict) -> list[int]:
     else:
         if handle.spec.backend == "abelian":
             raise SpecError("complex dim-cap on the abelian backend")
-        reg = cx.enumerate_complexes(
+        from .complexes import enumerate_complexes
+        reg = enumerate_complexes(
             handle.backend.cat,
             max_degree_dim=cap["max_degree_dim"],
             max_total_dim=cap["max_total_dim"],

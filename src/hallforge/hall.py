@@ -30,7 +30,6 @@ from math import gcd, lcm
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import EulerUndefined, SpecError, WindowOverflow
-from . import complexes as cx
 from .linalg import Field, Matrix
 from .quiver import (
     Quiver,
@@ -285,6 +284,9 @@ class CxBackend(_Backend):
     sequences."""
 
     def __init__(self, cat: cx.ComplexCategory, caps: Caps = DEFAULT_CAPS):
+        # bind `cx` here, not at import: representation runs never load complexes
+        global cx
+        from . import complexes as cx
         self.cat = cat
         self.quiver = cat.quiver
         self.field = cat.field

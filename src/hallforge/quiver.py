@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
@@ -228,13 +227,13 @@ def hom_dim(a: Rep, b: Rep) -> int:
     return offs[-1] - len(_rref_rows(rows, offs[-1], a.field.p))
 
 
-@dataclass
 class Ext1Space:
     """Ext^1(a, c) data: dimension, one cocycle per class, dim Hom(a, c)."""
 
-    dim: int
-    reps: list[tuple[Matrix, ...]] | None
-    hom_dim: int
+    def __init__(self, dim: int, reps: list[tuple[Matrix, ...]] | None, hom_dim: int):
+        self.dim = dim
+        self.reps = reps
+        self.hom_dim = hom_dim
 
 
 def ext1_space(a: Rep, c: Rep, caps: Caps = DEFAULT_CAPS, enumerate_reps: bool = True) -> Ext1Space:

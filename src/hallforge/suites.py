@@ -12,7 +12,6 @@ import json
 import time
 from fractions import Fraction
 
-from . import complexes as cx
 from .errors import RelEulerUndefined, SpecError
 from .files import (
     AlgebraHandle,
@@ -23,7 +22,6 @@ from .files import (
     rational_to_str,
 )
 from .hall import SqrtExt, verify_associativity
-from .sdh import SDH
 
 SUITES = (
     "associativity",
@@ -62,6 +60,7 @@ def _needs_complexes(spec: CategorySpec, suite: str) -> None:
 
 
 def _sdh_for(spec: CategorySpec, cache=None) -> SDH:
+    from .sdh import SDH
     return SDH(spec.complex_category(), spec.caps, cache=cache)
 
 
@@ -99,6 +98,7 @@ def _suite_associativity(spec, cap, cache):
 
 def _suite_lemma_ext(spec, cap, cache):
     _needs_complexes(spec, "lemma-ext")
+    from . import complexes as cx
     handle = AlgebraHandle(spec, "hall", cache=cache)
     ids = grid_class_ids(handle, cap)
     objs = [handle.backend.object(i) for i in ids]
@@ -139,6 +139,7 @@ def _suite_freeness(spec, cap, cache):
 
 def _conflations(handle, ids):
     """(sub, middle, quot) triples from every extension class on the grid."""
+    from . import complexes as cx
     out = []
     for a_id in ids:
         for c_id in ids:

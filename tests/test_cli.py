@@ -1175,19 +1175,28 @@ def test_sdh_tw_table_builds_each_key_class_once(tmp_path, monkeypatch):
 
 
 def test_cli_commands_leave_numpy_unimported(tmp_path):
+    """No command imports numpy or dataclasses, and a command on an abelian
+    spec never imports the complexes layer (complexes and sdh)."""
     abelian = write_spec(tmp_path, A2_ABELIAN, "abelian.json")
     bounded = write_spec(tmp_path, A2_BOUNDED, "bounded.json")
+    x, y = simple_elements(tmp_path)
     runs = [
         ["verify", "associativity", "--spec", abelian, "--dim-cap", "1",
          "--out", str(tmp_path / "report.json")],
+        ["table", "--spec", abelian, "--dim-cap", "1", "--algebra", "twisted",
+         "--out", str(tmp_path / "twisted.json")],
+        ["product", "--spec", abelian, x, y, "--out", str(tmp_path / "xy.json")],
         ["table", "--spec", bounded, "--dim-cap", "1", "--algebra", "dh",
          "--out", str(tmp_path / "table.json")],
     ]
     code = (
         "import json, sys\n"
         "from hallforge import cli\n"
-        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        "watched = ('numpy', 'dataclasses', 'hallforge.complexes', 'hallforge.sdh')\n"
+        "out = [[[], [m for m in watched if m in sys.modules]]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out.append([cli.main(argv), [m for m in watched if m in sys.modules]])\n"
+        "print(json.dumps(out))\n"
     )
     src = str(Path(files.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -1195,4 +1204,41 @@ def test_cli_commands_leave_numpy_unimported(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
+    # the modules loaded after the import, then after each command in turn
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [[], []],
+        [0, []],
+        [0, []],
+        [0, []],
+        [0, ["hallforge.complexes", "hallforge.sdh"]],
+    ]
+
+
+@pytest.mark.parametrize("doc,words", [
+    (A2_ABELIAN, ["verify", "associativity", "--dim-cap", "1"]),
+    (A2_BOUNDED, ["table", "--algebra", "dh", "--dim-cap", "1"]),
+], ids=["verify", "dh-table"])
+def test_exit_2_on_closed_stdout(tmp_path, doc, words):
+    # a pipe whose reader is gone: every write to it fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(files.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallforge.cli", *words, "--spec", write_spec(tmp_path, doc)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    # one line: no traceback, and nothing from a failed flush at shutdown
+    assert proc.stderr.startswith("error[SPEC_INVALID]: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_exit_2_on_caps_that_are_not_positive(tmp_path, capsys):
+    spec = write_spec(tmp_path, dict(A2_ABELIAN, caps={"max_enum": 0}))
+    assert cli.main(["table", "--spec", spec, "--dim-cap", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error[SPEC_INVALID]: bad caps: max_enum must be positive\n"

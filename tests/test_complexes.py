@@ -502,6 +502,14 @@ def test_strip_preserves_total_dimension():
     assert exps2 == {} and m2.encoding() == m.encoding()
 
 
+def test_strip_returns_a_minimal_complex_itself():
+    cat = a1_bounded(lo=0, hi=2)
+    x = direct_sum_cx(cat.stalk(1, 0), cat.stalk(1, 2))
+    assert is_minimal(x)
+    m, exps = strip_contractibles(x)
+    assert m is x and exps == {}
+
+
 def test_strip_mixed_generators_bounded():
     cat = a1_bounded(lo=0, hi=2)
     gens = contractible_generators(cat)

@@ -579,6 +579,25 @@ def test_memoised_factors_recomputed_for_other_caps(monkeypatch):
     assert len(memo) == 3
 
 
+def test_caps_are_immutable_values():
+    # Caps key the factor memo, so they compare and hash by value
+    assert Caps() == Caps() and hash(Caps()) == hash(Caps())
+    assert Caps() != Caps(max_enum=8) and Caps(max_enum=8) == Caps(max_enum=8)
+    assert {Caps(max_enum=8): 1}[Caps(max_enum=8)] == 1
+    caps = Caps()
+    assert (caps.max_ext_enum, caps.max_hom_enum, caps.max_endo_enum, caps.max_enum) == (
+        2**16, 2**20, 2**16, 2**20
+    )
+    with pytest.raises(AttributeError):
+        caps.max_enum = 8
+    with pytest.raises(AttributeError):
+        del caps.max_enum
+    assert caps == Caps() and caps.max_enum == 2**20
+    for name in ("max_ext_enum", "max_hom_enum", "max_endo_enum", "max_enum"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            Caps(**{name: 0})
+
+
 def _eager_decompose(m, caps=Caps()):
     """decompose as it was before its sampled candidates were built lazily:
     the single basis vectors and all pairwise sums go into one list before
