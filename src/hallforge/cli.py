@@ -141,9 +141,10 @@ def cmd_verify(args) -> int:
         report = run_suite(spec, args.suite, cap, cache=cache)
     finally:
         cache.close()
-    _emit(report, None)
+    # the file first: a failing stdout must not cost the report
     if args.out:
         _emit(report, args.out)
+    _emit(report, None)
     return 0 if report["status"] == "pass" else 1
 
 

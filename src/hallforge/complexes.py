@@ -54,7 +54,6 @@ from .quiver import (
     _image_kernel_cols,
     _power_eventual,
     _sub_rep,
-    _unvec,
     euler_exponent,
     find_iso,
     hom_basis,
@@ -112,6 +111,7 @@ class ComplexCategory:
         self._offsets_memo: dict = {}
         self._hom_memo: dict = {}
         self._stack_memo: dict = {}
+        self._layout_memo: dict = {}
         self._zero_memo: dict = {}
         self._merge_memo: dict = {}
         self._hom_slot = None  # the last pair's _HomComplex, see _hom_complex
@@ -211,6 +211,26 @@ class ComplexCategory:
             raw = sum(map(mul, self.rep_of(src).dims, self.rep_of(tgt).dims))
             flat = [[x for m in b for r in m.entries() for x in r] for b in basis]
             hit = self._stack_memo[key] = Matrix(self.field, _columns(flat, raw), len(basis))
+        return hit
+
+    def map_layout(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple | None:
+        """Layout of the maps rep_of(src) -> rep_of(tgt) in one degree of a
+        map space: (hom_stack(src, tgt), the raw offsets of the vertex
+        blocks from 0, then the end, and the per-vertex (rows, cols)).
+        None when the maps have no raw coordinates."""
+        key = (src, tgt)
+        try:
+            return self._layout_memo[key]
+        except KeyError:
+            pass
+        s, t = self.rep_of(src).dims, self.rep_of(tgt).dims
+        offs = [0]
+        for v in range(self.quiver.n):
+            offs.append(offs[-1] + t[v] * s[v])
+        hit = None
+        if offs[-1]:
+            hit = (self.hom_stack(src, tgt), tuple(offs), tuple(zip(t, s)))
+        self._layout_memo[key] = hit
         return hit
 
     def zero_maps(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[Matrix, ...]:
@@ -455,7 +475,8 @@ class Complex:
 def _merged_diff(cat, first, second, first1, second1, tl, tr, br) -> tuple[Matrix, ...]:
     """d_n of a degreewise sum: [[tl, tr], [0, br]] from rep(first) (+)
     rep(second) to rep(first1) (+) rep(second1), gathered into the
-    canonical bases of the summed multiplicity vectors."""
+    canonical bases of the summed multiplicity vectors.  The blocks'
+    entries are in [0, p) already and are only moved, not reduced again."""
     cols = cat.merge_order(first, second)
     rows = cat.merge_order(first1, second1)
     out = []
@@ -463,7 +484,9 @@ def _merged_diff(cat, first, second, first1, second1, tl, tr, br) -> tuple[Matri
         zero = (0,) * tl[v].cols
         block = [a + b for a, b in zip(tl[v].entries(), tr[v].entries())]
         block += [zero + b for b in br[v].entries()]
-        out.append(Matrix(cat.field, [[block[i][j] for j in cols[v]] for i in rows[v]], len(cols[v])))
+        order = cols[v]
+        gathered = [tuple([row[j] for j in order]) for row in map(block.__getitem__, rows[v])]
+        out.append(Matrix._of_reduced(cat.field, gathered, len(order)))
     return tuple(out)
 
 
@@ -521,39 +544,27 @@ class _MapSpace:
 
 
 def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
+    """The degree-k maps x -> y, degree by degree in increasing order; each
+    degree's layout comes from `ComplexCategory.map_layout`."""
     cat = x.cat
-    if cat.kind == "periodic":
-        degs = list(range(cat.period))
-    else:
-        degs = sorted(
-            set(x.comps)
-            | {n - k for n in y.comps}
-        )
     stacks = {}
     var_start = {}
     raw_offsets = {}
     shapes = {}
     nvars = 0
     raw = 0
-    for n in degs:
-        ykdeg = cat.wrap(n + k)
-        src = x.rep(n)
-        tgt = y.rep(ykdeg if ykdeg in y.comps else None)
-        if src.total_dim() == 0 or tgt.total_dim() == 0:
+    for n in sorted(x.comps):
+        tgt = y.comps.get(cat.wrap(n + k))
+        layout = None if tgt is None else cat.map_layout(x.comps[n], tgt)
+        if layout is None:
             continue
-        stack = cat.hom_stack(x.mults(n), y.mults(ykdeg))
-        offs = [raw]
-        for v in range(cat.quiver.n):
-            raw += tgt.dims[v] * src.dims[v]
-            offs.append(raw)
-        if raw == offs[0] and not stack.cols:
-            continue
+        stack, offs, shapes[n] = layout
         stacks[n] = stack
         var_start[n] = nvars
-        raw_offsets[n] = tuple(offs)
-        shapes[n] = tuple((tgt.dims[v], src.dims[v]) for v in range(cat.quiver.n))
+        raw_offsets[n] = tuple([raw + o for o in offs])
         nvars += stack.cols
-    return _MapSpace(sorted(stacks), stacks, var_start, nvars, raw_offsets, raw, shapes)
+        raw += offs[-1]
+    return _MapSpace(list(stacks), stacks, var_start, nvars, raw_offsets, raw, shapes)
 
 
 def _raw_entries(x: Complex, y: Complex, k: int, space: _MapSpace, out_space: _MapSpace):
@@ -591,13 +602,18 @@ def _sign(k: int) -> int:
 
 
 def _components(space: _MapSpace, vec: list[int], field: Field) -> dict:
-    """The map with raw coordinates vec in space, as degree -> vertex
-    matrices (degrees where it vanishes left out)."""
+    """The map with raw coordinates vec in space (ints in [0, p), not
+    reduced again), as degree -> vertex matrices (degrees where it vanishes
+    left out)."""
+    vec = tuple(vec)
     out = {}
     for n in space.degrees:
-        mats = _unvec(field, [vec], space.raw_offsets[n], space.shapes[n])[0]
-        if any(not m.is_zero() for m in mats):
-            out[n] = mats
+        offs = space.raw_offsets[n]
+        if any(vec[offs[0]:offs[-1]]):
+            out[n] = tuple(
+                Matrix._of_reduced(field, [vec[o + j * c:o + j * c + c] for j in range(r)], c)
+                for o, (r, c) in zip(offs, space.shapes[n])
+            )
     return out
 
 
@@ -794,7 +810,14 @@ def ext1_classes(a: Complex, c: Complex, caps: Caps = DEFAULT_CAPS, enumerate_re
 
 
 def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
-    """Middle term of the conflation c >-> B ->> a along cocycle f."""
+    """Middle term of the conflation c >-> B ->> a along cocycle f.
+
+    f must be a degree-1 cocycle a -> c made of hom-basis maps, as
+    `ext1_classes` gives (or {}, the split sum).  B is then a complex by
+    construction and is not validated again: each d_B = [[d_c, f], [0, d_a]]
+    is a rep morphism because its blocks are, and d_B d_B has the blocks
+    d_c d_c = 0, d_a d_a = 0 and d_c f + f d_a = 0.  The tests validate every
+    middle of several grids explicitly."""
     cat = a.cat
     comps = {}
     for n in set(a.comps) | set(c.comps):
@@ -810,7 +833,7 @@ def middle_term_cx(a: Complex, c: Complex, f: dict) -> Complex:
         diffs[n] = _merged_diff(
             cat, c.mults(n), a.mults(n), c.mults(n1), a.mults(n1), c.diff(n), fa, a.diff(n)
         )
-    return Complex(cat, comps, diffs)
+    return Complex(cat, comps, diffs, validate=False)
 
 
 def _proj_hom_dim(cat: ComplexCategory, src, tgt) -> int:
@@ -870,6 +893,14 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
       again, and both deletions apply to it),
     and changes nothing else.  Returns the minimal remainder and exponents
     keyed like the cone generators ("P{i}@{n}").
+
+    The remainder is a complex by construction and is not validated again.
+    Each step conjugates x by automorphisms of X_n and X_{n+1} built from
+    the column block d[:, r] and the row block d[s, :], which are rep
+    morphisms because d_n is one and End(P_i) = k.  That splits the cone off
+    as a direct summand, and the remainder is the complementary summand of
+    a complex (x, built or validated as one).  The tests validate the
+    remainders of several grids explicitly.
     """
     cat = x.cat
     p = cat.field.p
@@ -905,11 +936,11 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
                 diffs.pop(cat.prev_deg(deg), None)
         key = generator_key(i, n)
         exps[key] = exps.get(key, 0) + 1
-    if not exps:  # already minimal, and x was validated when it was built
+    if not exps:  # already minimal
         return x, exps
-    out_diffs = {n: tuple(Matrix(cat.field, a, w) for a, w in zip(d, cat.rep_of(comps[n]).dims))
+    out_diffs = {n: tuple(Matrix._of_reduced(cat.field, a, w) for a, w in zip(d, cat.rep_of(comps[n]).dims))
                  for n, d in diffs.items()}
-    return Complex(cat, comps, out_diffs), exps
+    return Complex(cat, comps, out_diffs, validate=False), exps
 
 
 def is_minimal(x: Complex) -> bool:

@@ -11,7 +11,6 @@ by the backend's one checked reader (`hall._Backend.read`).
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -32,6 +31,7 @@ from .hall import (
     HallAlgebra,
     RepBackend,
     SqrtExt,
+    _sha256,
 )
 from .linalg import Field
 from .quiver import Quiver, enumerate_reps
@@ -327,7 +327,7 @@ class CategorySpec:
     @property
     def spec_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _sha256(blob.encode()).hexdigest()
 
     # -- builders --
 

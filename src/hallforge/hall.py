@@ -23,10 +23,19 @@ object and requires the encoding to be that object's canonical one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from math import gcd, lcm
+
+# The builtin SHA-256, as random.py does for sha512: importing hashlib loads
+# OpenSSL, about 3 MB of resident memory, for the same digests.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256 as _sha256
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import EulerUndefined, SpecError, WindowOverflow
@@ -442,7 +451,7 @@ def _is_power(x, q: int) -> bool:
 def pair_key(signature: tuple, enc_a, enc_c) -> str:
     # json.dumps writes tuples as lists: the canonical JSON form
     blob = json.dumps([signature, enc_a, enc_c], separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(blob.encode()).hexdigest()
 
 
 class MemoryCache:

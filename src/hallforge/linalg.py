@@ -67,6 +67,23 @@ class Matrix:
         self._e = e
 
     @classmethod
+    def _of_reduced(cls, field: Field, rows, cols: int) -> "Matrix":
+        """The cols-wide Matrix on rows whose entries are already ints in
+        [0, p), e.g. entries gathered from other Matrix values: the entries
+        are not reduced again, only the widths are checked.  Row tuples are
+        kept as they are."""
+        e = tuple(map(tuple, rows))
+        for row in e:
+            if len(row) != cols:
+                raise ValueError(f"matrix rows must all have {cols} entries")
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(e)
+        m.cols = cols
+        m._e = e
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, [(0,) * cols] * rows, cols)
 

@@ -1174,9 +1174,57 @@ def test_sdh_tw_table_builds_each_key_class_once(tmp_path, monkeypatch):
     assert keys and len(sums) == len(keys)
 
 
+def test_cold_dh_table_builds_middles_and_remainders_unchecked(tmp_path, monkeypatch):
+    """A cold dh table on A2 q=2, window [0,2], cap 2,total:3 validates no
+    middle and no strip remainder (both are complexes by construction), and
+    lays out the maps between each pair of multiplicity vectors once: one
+    memo entry for each of the 29 pairs its map spaces meet."""
+    built_by = Counter()
+    validate = cx.Complex._validate
+
+    def counted(self, given_diffs):
+        # frame 1 is Complex.__init__, frame 2 the function building self
+        built_by[sys._getframe(2).f_code.co_name] += 1
+        validate(self, given_diffs)
+
+    layouts = []
+    map_layout = cx.ComplexCategory.map_layout
+
+    def recorded(cat, src, tgt):
+        layouts.append((cat, src, tgt))
+        return map_layout(cat, src, tgt)
+
+    built = Counter()
+    middle, strip = cx.middle_term_cx, cx.strip_contractibles
+
+    def counted_middle(a, c, f):
+        built["middles"] += 1
+        return middle(a, c, f)
+
+    def counted_strip(x):
+        rest, exps = strip(x)
+        built["remainders"] += bool(exps)
+        return rest, exps
+
+    monkeypatch.setattr(cx.Complex, "_validate", counted)
+    monkeypatch.setattr(cx.ComplexCategory, "map_layout", recorded)
+    monkeypatch.setattr(cx, "middle_term_cx", counted_middle)
+    monkeypatch.setattr(cx, "strip_contractibles", counted_strip)
+    spec = write_spec(tmp_path, A2_BOUNDED_WIDE)
+    argv = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "dh",
+            "--out", str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0
+    assert built["middles"] and built["remainders"]
+    assert built_by["middle_term_cx"] == built_by["strip_contractibles"] == 0
+    (cat,) = {c for c, _, _ in layouts}
+    assert len(cat._layout_memo) == len({(s, t) for _, s, t in layouts}) == 29
+    assert len(layouts) > 50 * 29  # 2,826 lookups
+
+
 def test_cli_commands_leave_numpy_unimported(tmp_path):
-    """No command imports numpy or dataclasses, and a command on an abelian
-    spec never imports the complexes layer (complexes and sdh)."""
+    """No command imports numpy, dataclasses or hashlib (with OpenSSL), and
+    a command on an abelian spec never imports the complexes layer
+    (complexes and sdh)."""
     abelian = write_spec(tmp_path, A2_ABELIAN, "abelian.json")
     bounded = write_spec(tmp_path, A2_BOUNDED, "bounded.json")
     x, y = simple_elements(tmp_path)
@@ -1192,7 +1240,8 @@ def test_cli_commands_leave_numpy_unimported(tmp_path):
     code = (
         "import json, sys\n"
         "from hallforge import cli\n"
-        "watched = ('numpy', 'dataclasses', 'hallforge.complexes', 'hallforge.sdh')\n"
+        "watched = ('numpy', 'dataclasses', 'hashlib', '_hashlib', 'hallforge.complexes',\n"
+        "           'hallforge.sdh')\n"
         "out = [[[], [m for m in watched if m in sys.modules]]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    out.append([cli.main(argv), [m for m in watched if m in sys.modules]])\n"
@@ -1216,8 +1265,9 @@ def test_cli_commands_leave_numpy_unimported(tmp_path):
 
 @pytest.mark.parametrize("doc,words", [
     (A2_ABELIAN, ["verify", "associativity", "--dim-cap", "1"]),
+    (A2_ABELIAN, ["verify", "associativity", "--dim-cap", "1", "--out", "r.json"]),
     (A2_BOUNDED, ["table", "--algebra", "dh", "--dim-cap", "1"]),
-], ids=["verify", "dh-table"])
+], ids=["verify", "verify-out", "dh-table"])
 def test_exit_2_on_closed_stdout(tmp_path, doc, words):
     # a pipe whose reader is gone: every write to it fails with EPIPE
     read_end, write_end = os.pipe()
@@ -1227,7 +1277,7 @@ def test_exit_2_on_closed_stdout(tmp_path, doc, words):
         proc = subprocess.run(
             [sys.executable, "-m", "hallforge.cli", *words, "--spec", write_spec(tmp_path, doc)],
             env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE,
-            text=True, timeout=120,
+            text=True, timeout=120, cwd=tmp_path,
         )
     finally:
         os.close(write_end)
@@ -1235,6 +1285,9 @@ def test_exit_2_on_closed_stdout(tmp_path, doc, words):
     # one line: no traceback, and nothing from a failed flush at shutdown
     assert proc.stderr.startswith("error[SPEC_INVALID]: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+    if "--out" in words:  # verify writes its --out file before stdout
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert report["suite"] == "associativity" and report["status"] == "pass"
 
 
 def test_exit_2_on_caps_that_are_not_positive(tmp_path, capsys):

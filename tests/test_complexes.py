@@ -775,6 +775,67 @@ def test_strip_matches_base_change_reference_on_middles(grid):
     ])
 
 
+# ---- middles and strip remainders are complexes by construction ----
+
+
+_CONSTRUCTION_GRIDS = {  # one grid over F_3, where a wrong sign in d_B shows
+    "a2-bounded-01-q3": (lambda: ComplexCategory(A2, F3, "bounded", lo=0, hi=1),
+                         {"max_degree_dim": 2, "max_total_dim": 3}),
+    "a2-bounded-02": (lambda: ComplexCategory(A2, F2, "bounded", lo=0, hi=2),
+                      {"max_degree_dim": 2, "max_total_dim": 3}),
+    "a2-periodic-2": (lambda: ComplexCategory(A2, F2, "periodic", period=2),
+                      {"max_total_dim": 3}),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_CONSTRUCTION_GRIDS))
+def test_middles_and_strip_remainders_pass_validation(grid):
+    """middle_term_cx and strip_contractibles skip Complex._validate; every
+    middle of every pair of classes on the grid, and the remainder of
+    stripping it, passes all of its checks when it is run explicitly."""
+    make, caps = _CONSTRUCTION_GRIDS[grid]
+    objs = list(enumerate_complexes(make(), **caps).objs)
+    middles = remainders = 0
+    for a, c in itertools.product(objs, repeat=2):
+        for f in ext1_classes(a, c).reps:
+            mid = middle_term_cx(a, c, f)
+            mid._validate(mid.diffs)
+            middles += 1
+            rest, exps = strip_contractibles(mid)
+            if exps:
+                rest._validate(rest.diffs)
+                remainders += 1
+    assert middles > len(objs) ** 2 and remainders
+
+
+def test_a_hom_basis_map_off_the_cocycles_fails_validation():
+    """The negative control: a degree-1 map f_n: a_n -> c_{n+1} that is a
+    hom-basis element gives a middle with d d = 0 exactly when it is a
+    cocycle, i.e. d_c f_n = 0 and f_n d_a = 0; otherwise _validate rejects
+    the middle."""
+    cat = ComplexCategory(A2, F2, "bounded", lo=0, hi=2)  # f d_a and d_c f need three degrees
+    objs = list(enumerate_complexes(cat, max_degree_dim=2, max_total_dim=3).objs)
+    verdicts = set()
+    for a, c in itertools.product(objs, repeat=2):
+        for n in a.comps:
+            n1 = cat.next_deg(n)
+            if n1 not in c.comps:
+                continue
+            nprev = cat.prev_deg(n)
+            for b in cat.hom_basis_of(a.comps[n], c.comps[n1]):
+                cocycle = all((d @ g).is_zero() for d, g in zip(c.diff(n1), b))
+                if nprev in a.comps:
+                    cocycle &= all((g @ d).is_zero() for g, d in zip(b, a.diff(nprev)))
+                mid = middle_term_cx(a, c, {n: b})
+                if cocycle:
+                    mid._validate(mid.diffs)
+                else:
+                    with pytest.raises(SpecError, match=r"d_.* d_.* != 0"):
+                        mid._validate(mid.diffs)
+                verdicts.add(cocycle)
+    assert verdicts == {True, False}
+
+
 def test_decompose_cx_frozen():
     cat = a1_periodic()
     gens = contractible_generators(cat)
@@ -1220,6 +1281,57 @@ def test_memoised_layouts_are_immutable():
         [g.entries() for g in b] for b in fresh.hom_basis_of(m1, m2)
     ]
     assert stack == fresh.hom_stack(m1, m2)
+
+
+def _reference_map_space(x, y, k):
+    """The layout of the degree-k maps x -> y, built from the reps of every
+    degree with no memo: (degrees, stacks, var_start, nvars, raw_offsets,
+    raw_dim, shapes) as _MapSpace holds them."""
+    cat = x.cat
+    degs = range(cat.period) if cat.kind == "periodic" else sorted(set(x.comps) | {n - k for n in y.comps})
+    stacks, var_start, raw_offsets, shapes = {}, {}, {}, {}
+    nvars = raw = 0
+    for n in degs:
+        ykdeg = cat.wrap(n + k)
+        src, tgt = x.rep(n), y.rep(ykdeg if ykdeg in y.comps else None)
+        if src.total_dim() == 0 or tgt.total_dim() == 0:
+            continue
+        basis = hom_basis(src, tgt)
+        offs = [raw]
+        for v in range(cat.quiver.n):
+            raw += tgt.dims[v] * src.dims[v]
+            offs.append(raw)
+        if raw == offs[0]:
+            continue
+        flat = [[e for m in b for r in m.entries() for e in r] for b in basis]
+        stacks[n] = [list(c) for c in zip(*flat)] if flat else [[] for _ in range(raw - offs[0])]
+        var_start[n] = nvars
+        raw_offsets[n] = tuple(offs)
+        shapes[n] = tuple((tgt.dims[v], src.dims[v]) for v in range(cat.quiver.n))
+        nvars += len(basis)
+    return sorted(stacks), stacks, var_start, nvars, raw_offsets, raw, shapes
+
+
+@pytest.mark.parametrize("grid", ["a2-bounded-total2", "a1-periodic-cap2"])
+def test_map_space_layouts_match_unmemoised_reference(grid):
+    """_map_space reads each degree's layout from one memo entry per pair
+    of nonzero multiplicity vectors (source, target); the layouts equal
+    those built anew, on every pair of classes and degree k."""
+    reg = _kernel_grid(grid, 3)
+    objs = [reg.object(i) for i in range(len(reg))]
+    cat = objs[0].cat
+    cat._layout_memo.clear()
+    pairs = set()
+    for x, y in itertools.product(objs, repeat=2):
+        for k in (-2, -1, 0, 1, 2):
+            s = _map_space(x, y, k)
+            got = (s.degrees, {n: [list(r) for r in m.entries()] for n, m in s.stacks.items()},
+                   s.var_start, s.nvars, s.raw_offsets, s.raw_dim, s.shapes)
+            assert got == _reference_map_space(x, y, k)
+            pairs |= {(x.comps[n], y.comps[cat.wrap(n + k)])
+                      for n in x.comps if cat.wrap(n + k) in y.comps}
+    assert set(cat._layout_memo) == pairs
+    assert all(v is None or v[0] is cat.hom_stack(*key) for key, v in cat._layout_memo.items())
 
 
 # ---- stacked Hom kernels against the per-basis-element computation ----

@@ -550,6 +550,29 @@ def test_pair_key_content_addressed():
     assert k1 != pair_key(bk.signature(), c.encoding(), a.encoding())
 
 
+def test_builtin_sha256_gives_hashlib_digests():
+    """Pair keys and spec hashes use the builtin SHA-256 module, not
+    hashlib; the digests, and so every cache key and file name, are
+    hashlib's."""
+    import hashlib
+
+    from hallforge import hall
+    from hallforge.files import CategorySpec
+
+    for blob in (b"", b"abc", bytes(range(256)) * 9):
+        assert hall._sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+    bk = RepBackend(A2, F2)
+    a, c = Rep.simple(A2, F2, 1), Rep.simple(A2, F2, 2)
+    blob = json.dumps([bk.signature(), a.encoding(), c.encoding()], separators=(",", ":"))
+    assert pair_key(bk.signature(), a.encoding(), c.encoding()) == hashlib.sha256(blob.encode()).hexdigest()
+    spec = CategorySpec.from_dict({
+        "format_version": 1, "field": {"q": 3}, "quiver": {"vertices": 2, "arrows": [[1, 2]]},
+        "backend": "bounded", "window": [0, 1],
+    })
+    blob = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert spec.spec_hash == hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_backend_decode_inverts_encode():
     bk = RepBackend(A2, F3)
     # S1, S2 and 0 have arrow matrices of shape (0, 1), (1, 0) and (0, 0);
