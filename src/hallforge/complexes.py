@@ -28,6 +28,15 @@ deletions from d_{n-1} and d_{n+1}), which produces the minimal model plus
 the generator exponents; `is_minimal` is the same scan finding no block.
 The tests check stripping against an independent route that solves
 d h + h d = id directly.
+
+What depends only on multiplicity vectors is memoised on the category, one
+table per fact: the Rep of a vector (`rep_of`), its copy slots with their
+fibre offsets (`copy_slots`), the Hom layout of a pair of vectors, i.e. its
+basis, the basis stacked as one Matrix and the raw offsets (`map_layout`,
+which every map space and the enumeration read), the zero map of a pair
+(`zero_maps`) and the merge order of a pair (`merge_order`).  The rule
+d d = 0 is checked in one place, `_square_fault`, for validated complexes
+and for enumerated differentials alike.
 """
 
 from __future__ import annotations
@@ -103,14 +112,11 @@ class ComplexCategory:
         # dim Hom(P_i, P_j): the quiver's Euler form, as Ext^1(P, -) = 0
         self._proj_homs = [[euler_exponent(quiver, p.dims, r.dims) for r in self._projs]
                            for p in self._projs]
-        self._rep_cache: dict[tuple[int, ...], Rep] = {}
         self._zero_mults = (0,) * quiver.n
-        # Memos of what depends only on multiplicity vectors, filled on first
-        # use and holding immutable values.
-        self._copies_memo: dict = {}
-        self._offsets_memo: dict = {}
-        self._hom_memo: dict = {}
-        self._stack_memo: dict = {}
+        # One memo per fact that depends only on multiplicity vectors (see the
+        # module docstring), filled on first use and holding immutable values.
+        self._rep_cache: dict[tuple[int, ...], Rep] = {}
+        self._slots_memo: dict = {}
         self._layout_memo: dict = {}
         self._zero_memo: dict = {}
         self._merge_memo: dict = {}
@@ -159,7 +165,7 @@ class ComplexCategory:
         maps = []
         for a, (t, h) in enumerate(self.quiver.arrows):
             rows = []
-            for (i, _), off in zip(self.copies_of(mults), self.copy_offsets(mults)):
+            for (i, _), off in self.copy_slots(mults):
                 left = [0] * off[t - 1]
                 right = [0] * (dims[t - 1] - off[t - 1] - self.proj(i).dims[t - 1])
                 rows += [left + list(r) + right for r in self.proj(i).maps[a].entries()]
@@ -167,57 +173,27 @@ class ComplexCategory:
         rep = self._rep_cache[mults] = Rep(self.quiver, self.field, dims, maps)
         return rep
 
-    def copies_of(self, mults: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        """Copy slots (generator, copy index) in canonical order."""
-        hit = self._copies_memo.get(mults)
+    def copy_slots(self, mults: tuple[int, ...]) -> tuple:
+        """Per copy, in canonical order: its slot (generator, copy index) and
+        the tuple of its fibre offsets at each vertex."""
+        hit = self._slots_memo.get(mults)
         if hit is None:
-            hit = tuple(
-                (i, t) for i in range(1, self.quiver.n + 1) for t in range(mults[i - 1])
-            )
-            self._copies_memo[mults] = hit
-        return hit
-
-    def copy_offsets(self, mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Per copy: tuple of fibre offsets at each vertex."""
-        hit = self._offsets_memo.get(mults)
-        if hit is None:
-            offs = []
+            slots = []
             acc = [0] * self.quiver.n
-            for i, _ in self.copies_of(mults):
-                offs.append(tuple(acc))
-                for v in range(self.quiver.n):
-                    acc[v] += self.proj(i).dims[v]
-            hit = tuple(offs)
-            self._offsets_memo[mults] = hit
+            for i in range(1, self.quiver.n + 1):
+                for t in range(mults[i - 1]):
+                    slots.append(((i, t), tuple(acc)))
+                    acc = [a + d for a, d in zip(acc, self.proj(i).dims)]
+            hit = self._slots_memo[mults] = tuple(slots)
         return hit
 
-    def hom_basis_of(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple:
-        """Basis of Hom(rep_of(src), rep_of(tgt)), per-vertex matrix tuples."""
-        key = (src, tgt)
-        hit = self._hom_memo.get(key)
-        if hit is None:
-            hit = tuple(hom_basis(self.rep_of(src), self.rep_of(tgt)))
-            self._hom_memo[key] = hit
-        return hit
-
-    def hom_stack(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> Matrix:
-        """hom_basis_of(src, tgt) as one Matrix whose column j holds basis
-        element j's raw coordinates: its vertex matrices, vertex by vertex,
-        each row-major."""
-        key = (src, tgt)
-        hit = self._stack_memo.get(key)
-        if hit is None:
-            basis = self.hom_basis_of(src, tgt)
-            raw = sum(map(mul, self.rep_of(src).dims, self.rep_of(tgt).dims))
-            flat = [[x for m in b for r in m.entries() for x in r] for b in basis]
-            hit = self._stack_memo[key] = Matrix(self.field, _columns(flat, raw), len(basis))
-        return hit
-
-    def map_layout(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple | None:
-        """Layout of the maps rep_of(src) -> rep_of(tgt) in one degree of a
-        map space: (hom_stack(src, tgt), the raw offsets of the vertex
-        blocks from 0, then the end, and the per-vertex (rows, cols)).
-        None when the maps have no raw coordinates."""
+    def map_layout(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple:
+        """The maps rep_of(src) -> rep_of(tgt) in one degree of a map space:
+        (Hom basis as per-vertex matrix tuples, the basis as one Matrix whose
+        column j holds element j's raw coordinates (its vertex matrices,
+        vertex by vertex, each row-major), the raw offsets of the vertex
+        blocks from 0 then the end, and the per-vertex (rows, cols)).  The
+        basis is empty when the maps have no raw coordinates."""
         key = (src, tgt)
         try:
             return self._layout_memo[key]
@@ -227,10 +203,10 @@ class ComplexCategory:
         offs = [0]
         for v in range(self.quiver.n):
             offs.append(offs[-1] + t[v] * s[v])
-        hit = None
-        if offs[-1]:
-            hit = (self.hom_stack(src, tgt), tuple(offs), tuple(zip(t, s)))
-        self._layout_memo[key] = hit
+        basis = tuple(hom_basis(self.rep_of(src), self.rep_of(tgt))) if offs[-1] else ()
+        flat = [[x for m in b for r in m.entries() for x in r] for b in basis]
+        stack = Matrix._of_reduced(self.field, _columns(flat, offs[-1]), len(basis))
+        hit = self._layout_memo[key] = (basis, stack, tuple(offs), tuple(zip(t, s)))
         return hit
 
     def zero_maps(self, src: tuple[int, ...], tgt: tuple[int, ...]) -> tuple[Matrix, ...]:
@@ -258,11 +234,11 @@ class ComplexCategory:
             first_dims = self.rep_of(first).dims
             # block-sum offsets of every copy, by its slot in the canonical
             # order: copy t of second sits in slot first[i - 1] + t
-            block = dict(zip(self.copies_of(first), self.copy_offsets(first)))
-            for (i, t), off in zip(self.copies_of(second), self.copy_offsets(second)):
+            block = dict(self.copy_slots(first))
+            for (i, t), off in self.copy_slots(second):
                 block[(i, first[i - 1] + t)] = tuple(a + b for a, b in zip(first_dims, off))
             order = [[0] * d for d in self.rep_of(total).dims]
-            for slot, off in zip(self.copies_of(total), self.copy_offsets(total)):
+            for slot, off in self.copy_slots(total):
                 for v, d in enumerate(self.proj(slot[0]).dims):
                     start = block[slot][v]
                     order[v][off[v]:off[v] + d] = range(start, start + d)
@@ -337,6 +313,22 @@ def _parse_generator_key(key: str) -> tuple[int, int]:
     return int(head[1:]), int(n)
 
 
+def _square_fault(cat: ComplexCategory, diffs: dict) -> tuple[int, int, int] | None:
+    """The first (n, n1, vertex) with n1 = next_deg(n) at which
+    d_{n1} d_n != 0 mod p, scanning diffs (degree -> per-vertex matrices) in
+    its order wherever both factors exist; None when d d = 0.  Runs on the
+    entry rows."""
+    p = cat.field.p
+    for n, d in diffs.items():
+        n1 = cat.next_deg(n)
+        d1 = diffs.get(n1)
+        if d1 is not None:
+            for v, (a, b) in enumerate(zip(d, d1)):
+                if any(x % p for r in _mul(b.entries(), a.entries(), a.cols) for x in r):
+                    return n, n1, v + 1
+    return None
+
+
 class Complex:
     """Cochain complex of projectives inside a fixed category.
 
@@ -346,7 +338,7 @@ class Complex:
     a canonical function of the object).
     """
 
-    __slots__ = ("cat", "comps", "diffs", "_enc", "_reps")
+    __slots__ = ("cat", "comps", "diffs", "_enc")
 
     def __init__(self, cat: ComplexCategory, comps: dict, diffs: dict, validate: bool = True):
         comps = {
@@ -366,7 +358,6 @@ class Complex:
             clean_diffs[n] = d
         self.diffs = clean_diffs
         self._enc = None
-        self._reps: dict[int, Rep] = {}
         if validate:
             self._validate(diffs)
 
@@ -403,13 +394,10 @@ class Complex:
                 rhs = _mul(tgt.maps[i].entries(), a[t - 1], w)
                 if any((x - y) % p for r, s in zip(lhs, rhs) for x, y in zip(r, s)):
                     raise SpecError(f"differential at degree {n} is not a rep morphism")
-        # d d = 0 wherever both factors exist
-        for n, d in self.diffs.items():
-            n1 = self.cat.next_deg(n)
-            if n1 in self.diffs:
-                for v, (d0, d1) in enumerate(zip(d, self.diffs[n1])):
-                    if any(x % p for r in _mul(d1.entries(), d0.entries(), d0.cols) for x in r):
-                        raise SpecError(f"d_{n1} d_{n} != 0 at vertex {v + 1}")
+        fault = _square_fault(cat, self.diffs)
+        if fault is not None:
+            n, n1, v = fault
+            raise SpecError(f"d_{n1} d_{n} != 0 at vertex {v}")
 
     # ---- access ----
 
@@ -419,13 +407,7 @@ class Complex:
         return self.comps.get(n, self.cat._zero_mults)
 
     def rep(self, n: int | None) -> Rep:
-        if n is None:
-            return self.cat.rep_of(self.cat._zero_mults)
-        hit = self._reps.get(n)
-        if hit is None:
-            hit = self.cat.rep_of(self.mults(n))
-            self._reps[n] = hit
-        return hit
+        return self.cat.rep_of(self.mults(n))
 
     def diff(self, n: int | None) -> tuple[Matrix, ...]:
         """d_n with correct shapes (zero matrices when not stored)."""
@@ -531,7 +513,7 @@ class _MapSpace:
     def __init__(self, degrees: list[int], stacks: dict, var_start: dict, nvars: int,
                  raw_offsets: dict, raw_dim: int, shapes: dict):
         self.degrees = degrees
-        self.stacks = stacks  # n -> ComplexCategory.hom_stack of the hom basis at degree n
+        self.stacks = stacks  # n -> the hom-basis stack of ComplexCategory.map_layout at degree n
         self.var_start = var_start  # n -> column of the first degree-n coefficient
         self.nvars = nvars
         self.raw_offsets = raw_offsets  # n -> per-vertex offsets into the raw vector, then the end
@@ -544,8 +526,9 @@ class _MapSpace:
 
 
 def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
-    """The degree-k maps x -> y, degree by degree in increasing order; each
-    degree's layout comes from `ComplexCategory.map_layout`."""
+    """The degree-k maps x -> y, degree by degree in increasing order,
+    over the degrees whose maps have raw coordinates; each degree's layout
+    comes from `ComplexCategory.map_layout`."""
     cat = x.cat
     stacks = {}
     var_start = {}
@@ -555,11 +538,12 @@ def _map_space(x: Complex, y: Complex, k: int) -> _MapSpace:
     raw = 0
     for n in sorted(x.comps):
         tgt = y.comps.get(cat.wrap(n + k))
-        layout = None if tgt is None else cat.map_layout(x.comps[n], tgt)
-        if layout is None:
+        if tgt is None:
             continue
-        stack, offs, shapes[n] = layout
-        stacks[n] = stack
+        _, stack, offs, shape = cat.map_layout(x.comps[n], tgt)
+        if not offs[-1]:
+            continue
+        stacks[n], shapes[n] = stack, shape
         var_start[n] = nvars
         raw_offsets[n] = tuple([raw + o for o in offs])
         nvars += stack.cols
@@ -863,17 +847,15 @@ def _find_unit(cat: ComplexCategory, comps: dict, diffs: dict):
     target copy s, read at vertex i.  Scans degree, generator, target copy,
     source copy; None when the complex is minimal."""
     for n in sorted(diffs):
-        src, tgt = comps[n], comps[cat.next_deg(n)]
-        src_copies, tgt_copies = cat.copies_of(src), cat.copies_of(tgt)
-        src_offs, tgt_offs = cat.copy_offsets(src), cat.copy_offsets(tgt)
+        src, tgt = cat.copy_slots(comps[n]), cat.copy_slots(comps[cat.next_deg(n)])
         for i in range(1, cat.quiver.n + 1):
             a = diffs[n][i - 1]
-            for s, (gs, _) in enumerate(tgt_copies):
+            for s, ((gs, _), tgt_off) in enumerate(tgt):
                 if gs != i:
                     continue
-                for r, (gr, _) in enumerate(src_copies):
+                for r, ((gr, _), src_off) in enumerate(src):
                     if gr == i:
-                        c = a[tgt_offs[s][i - 1]][src_offs[r][i - 1]]
+                        c = a[tgt_off[i - 1]][src_off[i - 1]]
                         if c:
                             return n, i, s, r, c
     return None
@@ -910,13 +892,13 @@ def strip_contractibles(x: Complex) -> tuple[Complex, dict[str, int]]:
     while (hit := _find_unit(cat, comps, diffs)) is not None:
         n, i, s, r, c = hit
         n0, n1 = cat.prev_deg(n), cat.next_deg(n)
-        src_offs, tgt_offs = cat.copy_offsets(comps[n]), cat.copy_offsets(comps[n1])
+        src_off, tgt_off = cat.copy_slots(comps[n])[r][1], cat.copy_slots(comps[n1])[s][1]
         cinv = cat.field.inv(c)
         for v, width in enumerate(cat.proj(i).dims):
             if not width:
                 continue
-            rs = range(src_offs[r][v], src_offs[r][v] + width)
-            ss = range(tgt_offs[s][v], tgt_offs[s][v] + width)
+            rs = range(src_off[v], src_off[v] + width)
+            ss = range(tgt_off[v], tgt_off[v] + width)
             d = diffs[n][v]
             # d[:, rs] d[ss, :], then the Schur complement without rows ss and columns rs
             prod = _mul([[row[j] for j in rs] for row in d], [d[j] for j in ss], len(d[0]))
@@ -1206,7 +1188,7 @@ def enumerate_complexes(
             n1 = cat.next_deg(n)
             if n1 is None or n1 not in comps:
                 continue
-            hb = cat.hom_basis_of(comps[n], comps[n1])
+            hb = cat.map_layout(comps[n], comps[n1])[0]
             pairs.append(n)
             hom_bases[n] = hb
             count *= p ** len(hb)
@@ -1226,17 +1208,7 @@ def enumerate_complexes(
                 src = cat.rep_of(comps[n])
                 diffs[n] = _combine_rect(src, tgt, hb, coeffs)
             # keep only genuine complexes
-            ok = True
-            for n in pairs:
-                n1 = cat.next_deg(n)
-                if n1 in diffs:
-                    for v in range(cat.quiver.n):
-                        if not (diffs[n1][v] @ diffs[n][v]).is_zero():
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
+            if _square_fault(cat, diffs) is not None:
                 continue
             registry.classify(Complex(cat, comps, diffs, validate=False))
     return registry

@@ -181,6 +181,8 @@ def load_json(path) -> dict:
         raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}: not valid JSON ({e})")
+    except RecursionError:
+        raise SpecError(f"{path}: JSON nested too deeply to read")
 
 
 def _require_int(doc, name, val) -> int:
@@ -374,11 +376,11 @@ def cache_root() -> Path:
 
 
 def _json_line(line: bytes):
-    """The JSON value of one cache line, or None if it is blank, not UTF-8
-    or not JSON."""
+    """The JSON value of one cache line, or None if it is blank, not UTF-8,
+    not JSON or nested too deeply to decode."""
     try:
         return json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return None
 
 

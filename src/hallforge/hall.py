@@ -485,8 +485,8 @@ class HallAlgebra:
         self.backend = backend
         self.cache = cache if cache is not None else MemoryCache()
         self.q = backend.field.p
-        self._pair_keys: dict[tuple[int, int], str] = {}  # (a_id, c_id) -> pair key
-        self._resolved: dict[str, tuple] = {}  # pair key -> (hom, [(b_id, n)])
+        # (a_id, c_id) -> [pair key, (hom, [(b_id, n)], *fields) or None until resolved]
+        self._pairs: dict[tuple[int, int], list] = {}
 
     # -- elements --
 
@@ -522,18 +522,18 @@ class HallAlgebra:
         cache-backed; the backend names any record fields after hom.
 
         Every call looks its pair up in the cache once.  The first time a
-        key is seen, a record's middles are checked and classified; a record
+        pair is seen, a record's middles are checked and classified; a record
         that fails _resolve is recomputed as if it were missing, and a
         recomputed record's middles are classified as raw_ext_data built
         them.  A backend may list one class more than once.
         """
         bk = self.backend
-        key = self._pair_keys.get((a_id, c_id))
-        if key is None:
+        entry = self._pairs.get((a_id, c_id))
+        if entry is None:
             key = pair_key(bk.signature(), bk.encode(bk.object(a_id)), bk.encode(bk.object(c_id)))
-            self._pair_keys[(a_id, c_id)] = key
+            entry = self._pairs[(a_id, c_id)] = [key, None]
+        key, resolved = entry
         rec = self.cache.get(key)
-        resolved = self._resolved.get(key)
         if resolved is None:
             a, c = bk.object(a_id), bk.object(c_id)
             pair = None if rec is None else self._resolve(rec, bk._middle_head(a, c))
@@ -549,8 +549,7 @@ class HallAlgebra:
                     "middles": [[bk.encode(obj), n] for obj, n in middles],
                 })
             hom, middles, *fields = pair
-            resolved = (hom, [(bk.classify(obj), n) for obj, n in middles], *fields)
-            self._resolved[key] = resolved
+            resolved = entry[1] = (hom, [(bk.classify(obj), n) for obj, n in middles], *fields)
         return (resolved[0], list(resolved[1]), *resolved[2:])
 
     def _resolve(self, rec, head: tuple) -> tuple | None:

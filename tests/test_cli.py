@@ -310,6 +310,29 @@ def test_exit_2_on_unreadable_spec_or_element(tmp_path, capsys):
         assert "error[SPEC_INVALID]" in capsys.readouterr().err
 
 
+_DEEP = "[" * 1000 + "]" * 1000  # deeper than json can decode under the default recursion limit
+
+
+def test_exit_2_on_spec_nested_too_deeply(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(A2_ABELIAN).replace('"abelian"', _DEEP))
+    assert cli.main(["table", "--spec", str(deep), "--dim-cap", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error[SPEC_INVALID]" in err and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_exit_2_on_element_nested_too_deeply(tmp_path, capsys):
+    spec = write_spec(tmp_path, A2_ABELIAN)
+    x, _ = simple_elements(tmp_path)
+    doc = json.loads(Path(x).read_text())
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(dict(doc, terms="X")).replace('"X"', f'[{{"encoding": {_DEEP}, "coeff": "1/1"}}]'))
+    assert cli.main(["product", "--spec", spec, x, str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert "error[SPEC_INVALID]" in err and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("command", ["table", "verify"])
 def test_exit_2_on_out_into_missing_directory(tmp_path, capsys, command):
     argv = [command, "--spec", write_spec(tmp_path, A2_ABELIAN), "--dim-cap", "1"]
@@ -508,6 +531,22 @@ def test_cache_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
     for name, extra in (("warm.json", []), ("nocache.json", ["--no-cache"])):
         assert cli.main(argv + [str(tmp_path / name)] + extra) == 0
         assert (tmp_path / name).read_bytes() == clean
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_line_nested_too_deeply_is_skipped(tmp_path, capsys):
+    """A cache line too deep for json to decode is skipped like a torn one:
+    the pair is recomputed and the artifact is unchanged."""
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    argv = ["table", "--spec", spec, "--dim-cap", "1,total:2", "--out"]
+    assert cli.main(argv + [str(tmp_path / "clean.json")]) == 0
+    cache_file = tmp_path / "cache" / f"{CategorySpec.from_dict(A2_BOUNDED).spec_hash}.jsonl"
+    header, first, *rest = cache_file.read_text().splitlines()
+    entry = json.loads(first)
+    record = json.dumps(dict(entry, record="X")).replace('"X"', _DEEP)
+    cache_file.write_text("\n".join([header, _DEEP, record, *rest]) + "\n")
+    assert cli.main(argv + [str(tmp_path / "warm.json")]) == 0
+    assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
     assert capsys.readouterr().err == ""
 
 
@@ -933,8 +972,8 @@ def _dd_nonzero(rec, bk, head, others):
         if len(degs) < 2 or degs[1] != degs[0] + 1:
             continue
         n = degs[0]
-        for f0 in cat.hom_basis_of(w.comps[n], w.comps[n + 1]):
-            for f1 in cat.hom_basis_of(w.comps[n + 1], w.comps[n + 2]):
+        for f0 in cat.map_layout(w.comps[n], w.comps[n + 1])[0]:
+            for f1 in cat.map_layout(w.comps[n + 1], w.comps[n + 2])[0]:
                 if all((g @ f).is_zero() for f, g in zip(f0, f1)):
                     continue
                 bad = Complex(cat, w.comps, {**w.diffs, n: f0, n + 1: f1}, validate=False)
@@ -1219,6 +1258,68 @@ def test_cold_dh_table_builds_middles_and_remainders_unchecked(tmp_path, monkeyp
     (cat,) = {c for c, _, _ in layouts}
     assert len(cat._layout_memo) == len({(s, t) for _, s, t in layouts}) == 29
     assert len(layouts) > 50 * 29  # 2,826 lookups
+
+
+class _ReadCountingMemo(dict):
+    """A memo table that counts its fills and the lookups that find a key."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.fills = self.hits = 0
+
+    def __setitem__(self, key, value):
+        self.fills += 1
+        super().__setitem__(key, value)
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)  # a miss raises KeyError uncounted
+        self.hits += 1
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _count_memo_reads(monkeypatch, cls) -> list:
+    """Swap a read-counting memo for every dict attribute of each new cls
+    instance; returns the list of their {name: memo} tables."""
+    made = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        memos = {k: _ReadCountingMemo(v) for k, v in vars(self).items() if type(v) is dict}
+        for k, v in memos.items():
+            setattr(self, k, v)
+        made.append(memos)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_every_memo_table_is_read_after_it_is_filled(tmp_path, monkeypatch, capsys):
+    """No memo table is written and then never read: each table of
+    ComplexCategory on a cold dh table over A2 q=2, window [0,2], cap
+    2,total:3, and HallAlgebra's pair table on a cold associativity check
+    over A2 plus an isolated vertex at cap 1 (the benchmark's two grids),
+    finds some key it stored."""
+    cats = _count_memo_reads(monkeypatch, cx.ComplexCategory)
+    algebras = _count_memo_reads(monkeypatch, hall.HallAlgebra)
+    spec = write_spec(tmp_path, A2_BOUNDED_WIDE)
+    assert cli.main(["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "dh",
+                     "--out", str(tmp_path / "t.json")]) == 0
+    (memos,) = cats
+    assert {k: (m.fills, m.hits) for k, m in memos.items() if m.fills and not m.hits} == {}
+    assert sorted(memos) == ["_layout_memo", "_merge_memo", "_rep_cache", "_slots_memo", "_zero_memo"]
+    assert all(m.fills for m in memos.values())
+    algebras.clear()
+    abelian = write_spec(tmp_path, dict(A2_ABELIAN, quiver={"vertices": 3, "arrows": [[1, 2]]}), "abelian.json")
+    assert cli.main(["verify", "associativity", "--spec", abelian, "--dim-cap", "1",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    tables = {k: m for memos in algebras for k, m in memos.items()}
+    assert list(tables) == ["_pairs"]
+    assert tables["_pairs"].fills and tables["_pairs"].hits
 
 
 def test_cli_commands_leave_numpy_unimported(tmp_path):

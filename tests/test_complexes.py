@@ -564,10 +564,8 @@ def _reference_strip(x):
                 continue
             src_m = mults_at(n)
             tgt_m = mults_at(n1)
-            offs_src = cat.copy_offsets(src_m)
-            offs_tgt = cat.copy_offsets(tgt_m)
-            src_copies = cat.copies_of(src_m)
-            tgt_copies = cat.copies_of(tgt_m)
+            src_copies, offs_src = zip(*cat.copy_slots(src_m))
+            tgt_copies, offs_tgt = zip(*cat.copy_slots(tgt_m))
             for i in range(1, cat.quiver.n + 1):
                 vi = i - 1
                 for s_pos, (gi, _) in enumerate(tgt_copies):
@@ -600,10 +598,8 @@ def _reference_strip(x):
         cinv = field.inv(c0)
         src_m = mults_at(n)
         tgt_m = mults_at(n1)
-        offs_src = cat.copy_offsets(src_m)
-        offs_tgt = cat.copy_offsets(tgt_m)
-        src_copies = cat.copies_of(src_m)
-        tgt_copies = cat.copies_of(tgt_m)
+        src_copies, offs_src = zip(*cat.copy_slots(src_m))
+        tgt_copies, offs_tgt = zip(*cat.copy_slots(tgt_m))
         d = diffs[n]
 
         # base-change matrices per vertex: T on X_n, S on X_{n+1}
@@ -662,8 +658,7 @@ def _reference_strip(x):
         # delete copy r_pos from degree n and copy s_pos from degree n+1
         def delete_copy(deg, pos):
             m = mults_at(deg)
-            copies = cat.copies_of(m)
-            offs = cat.copy_offsets(m)
+            copies, offs = zip(*cat.copy_slots(m))
             gi = copies[pos][0]
             for v in range(cat.quiver.n):
                 a0, a1 = copy_slice(offs, copies, pos, v, gen_dims)
@@ -822,7 +817,7 @@ def test_a_hom_basis_map_off_the_cocycles_fails_validation():
             if n1 not in c.comps:
                 continue
             nprev = cat.prev_deg(n)
-            for b in cat.hom_basis_of(a.comps[n], c.comps[n1]):
+            for b in cat.map_layout(a.comps[n], c.comps[n1])[0]:
                 cocycle = all((d @ g).is_zero() for d, g in zip(c.diff(n1), b))
                 if nprev in a.comps:
                     cocycle &= all((g @ d).is_zero() for g, d in zip(b, a.diff(nprev)))
@@ -1185,32 +1180,35 @@ def test_projective_memos_match_fresh_computation(p):
     vecs = _mults_upto(cat, 2)
     for m in vecs:
         copies = [(i, t) for i in (1, 2) for t in range(m[i - 1])]
-        assert cat.copies_of(m) == tuple(copies)
+        slots = cat.copy_slots(m)
+        assert tuple(slot for slot, _ in slots) == tuple(copies)
         for v in range(2):
             labels = _basis_labels(cat, m, v)
             offs = tuple(
                 sum(1 for lab in labels if lab[:2] < copy) for copy in copies
             )
-            assert tuple(o[v] for o in cat.copy_offsets(m)) == offs
+            assert tuple(o[v] for _, o in slots) == offs
+        assert cat.copy_slots(m) is slots
     rng = np.random.default_rng(p)
     for m1, m2 in itertools.product(vecs, repeat=2):
         fresh = hom_basis(cat.rep_of(m1), cat.rep_of(m2))
         src_dims, tgt_dims = cat.rep_of(m1).dims, cat.rep_of(m2).dims
-        memo = cat.hom_basis_of(m1, m2)
+        layout = cat.map_layout(m1, m2)
+        memo, stack, raw_offs, shapes = layout
         assert [[g.entries() for g in b] for b in memo] == [
             [g.entries() for g in b] for b in fresh
         ]
-        assert cat.hom_basis_of(m1, m2) is memo
-        stack = cat.hom_stack(m1, m2)
+        assert cat.map_layout(m1, m2) is layout
         raw = sum(t * s for t, s in zip(tgt_dims, src_dims))
         assert stack.shape == (raw, len(fresh))
+        assert raw_offs == tuple(itertools.accumulate((t * s for t, s in zip(tgt_dims, src_dims)), initial=0))
+        assert shapes == tuple(zip(tgt_dims, src_dims))
         # column j: basis element j's vertex matrices, each row-major
         assert np.array_equal(
             arr(stack).T.reshape(len(fresh), raw),
             np.array([np.concatenate([arr(g).reshape(-1) for g in b]) for b in fresh],
                      dtype=np.int64).reshape(len(fresh), raw),
         )
-        assert cat.hom_stack(m1, m2) is stack
         zero = cat.zero_maps(m1, m2)
         src, tgt = cat.rep_of(m1).dims, cat.rep_of(m2).dims
         assert [z.shape for z in zero] == [(tgt[v], src[v]) for v in range(2)]
@@ -1233,12 +1231,13 @@ def test_projective_memos_are_per_category():
     vecs = _mults_upto(c2, 1)
     for cat in (c2, c3):
         for m1, m2 in itertools.product(vecs, repeat=2):
-            cat.hom_basis_of(m1, m2)
+            cat.map_layout(m1, m2)
             cat.zero_maps(m1, m2)
             cat.merge_order(m1, m2)
 
     def matrices(cat):
-        out = [g for b in cat._hom_memo.values() for mats in b for g in mats]
+        out = [g for b, *_ in cat._layout_memo.values() for mats in b for g in mats]
+        out += [stack for _, stack, *_ in cat._layout_memo.values()]
         return out + [z for zs in cat._zero_memo.values() for z in zs]
 
     for cat in (c2, c3):
@@ -1255,15 +1254,23 @@ def test_projective_memos_are_per_category():
 def test_memoised_layouts_are_immutable():
     cat = a2_bounded(2)
     m1, m2 = (1, 2), (2, 1)
-    copies, offs = cat.copies_of(m1), cat.copy_offsets(m1)
+    slots = cat.copy_slots(m1)
     order = cat.merge_order(m1, m2)
-    basis = cat.hom_basis_of(m1, m2)
-    stack = cat.hom_stack(m1, m2)
+    layout = cat.map_layout(m1, m2)
+    basis, stack, offs, shapes = layout
     zero = cat.zero_maps(m1, m2)
     with pytest.raises(TypeError):
-        copies[0] = (2, 0)
+        slots[0] = ((2, 0), (0, 0))
     with pytest.raises(TypeError):
-        offs[0] = (5, 5)
+        slots[0][0] = (2, 0)
+    with pytest.raises(TypeError):
+        slots[0][1] = (5, 5)
+    with pytest.raises(TypeError):
+        layout[0] = ()
+    with pytest.raises(TypeError):
+        offs[0] = 5
+    with pytest.raises(TypeError):
+        shapes[0] = (5, 5)
     with pytest.raises(TypeError):
         order[1][0] = 99
     with pytest.raises(TypeError):
@@ -1273,14 +1280,15 @@ def test_memoised_layouts_are_immutable():
     with pytest.raises(TypeError):
         zero[1].entries()[0][0] = 1
     fresh = a2_bounded(2)
-    assert cat.copies_of(m1) == fresh.copies_of(m1)
-    assert cat.copy_offsets(m1) == fresh.copy_offsets(m1)
+    assert cat.copy_slots(m1) == fresh.copy_slots(m1)
     assert order == fresh.merge_order(m1, m2)
     assert all(z.is_zero() for z in cat.zero_maps(m1, m2))
-    assert [[g.entries() for g in b] for b in cat.hom_basis_of(m1, m2)] == [
-        [g.entries() for g in b] for b in fresh.hom_basis_of(m1, m2)
+    fresh_basis, fresh_stack, *fresh_rest = fresh.map_layout(m1, m2)
+    assert [[g.entries() for g in b] for b in cat.map_layout(m1, m2)[0]] == [
+        [g.entries() for g in b] for b in fresh_basis
     ]
-    assert stack == fresh.hom_stack(m1, m2)
+    assert stack == fresh_stack
+    assert [offs, shapes] == fresh_rest
 
 
 def _reference_map_space(x, y, k):
@@ -1331,7 +1339,13 @@ def test_map_space_layouts_match_unmemoised_reference(grid):
             pairs |= {(x.comps[n], y.comps[cat.wrap(n + k)])
                       for n in x.comps if cat.wrap(n + k) in y.comps}
     assert set(cat._layout_memo) == pairs
-    assert all(v is None or v[0] is cat.hom_stack(*key) for key, v in cat._layout_memo.items())
+    # every entry's basis and stack equal those built anew from hom_basis
+    for (src, tgt), (basis, stack, offs, _) in cat._layout_memo.items():
+        fresh = hom_basis(cat.rep_of(src), cat.rep_of(tgt))
+        assert [[g.entries() for g in b] for b in basis] == [[g.entries() for g in b] for b in fresh]
+        flat = [[e for m in b for r in m.entries() for e in r] for b in fresh]
+        assert stack.shape == (offs[-1], len(fresh))
+        assert [list(r) for r in stack.entries()] == ([list(c) for c in zip(*flat)] if flat else [[]] * offs[-1])
 
 
 # ---- stacked Hom kernels against the per-basis-element computation ----
@@ -1345,10 +1359,10 @@ def _kernel_grid(name, p):
 
 def _basis_columns(x, y, k, space):
     """(degree, column, basis element) for every variable of a degree-k map
-    space, the basis taken from hom_basis_of one element at a time."""
+    space, the basis taken from map_layout one element at a time."""
     cat = x.cat
     for n in space.degrees:
-        basis = cat.hom_basis_of(x.mults(n), y.mults(cat.wrap(n + k)))
+        basis = cat.map_layout(x.mults(n), y.mults(cat.wrap(n + k)))[0]
         cols = space.columns(n)
         assert len(basis) == cols.stop - cols.start
         for j, f in enumerate(basis):
@@ -1418,7 +1432,7 @@ def _reference_chain_basis(x, y):
         comp = {}
         for n in space.degrees:
             cfs = np.array(coeffs[space.columns(n)], dtype=np.int64)
-            basis = x.cat.hom_basis_of(x.mults(n), y.mults(n))
+            basis = x.cat.map_layout(x.mults(n), y.mults(n))[0]
             stacks = [np.array([arr(b[v]) for b in basis], dtype=np.int64).reshape(len(cfs), *shape)
                       for v, shape in enumerate(space.shapes[n])]
             mats = tuple(from_arr(field, np.tensordot(cfs, s, axes=1) % field.p) for s in stacks)
