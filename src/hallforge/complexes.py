@@ -5,7 +5,9 @@ indecomposable projectives P_1..P_k (stored as a multiplicity vector, copies
 listed generator by generator) and differentials d_n: X_n -> X_{n+1} that
 are representation morphisms with d d = 0.  Bounded categories fix a user
 window [lo, hi] plus internal headroom so shifts stay representable;
-periodic categories index degrees by Z/m (m >= 2).
+periodic categories index degrees by Z/m (m >= 2).  The window rule lives
+in `ComplexCategory` alone: `degrees()`, `wrap` (None off the edge),
+`next_deg` and `cone_degrees()`; shifts and cones read only these.
 
 Degree-k map conventions (the signs matter and are locked together):
 
@@ -20,8 +22,8 @@ differential blocks [[d_c, f], [0, d_a]]; replacing f by a coboundary shift
 conjugates B by [[1, h], [0, 1]], so iso classes of middles only depend on
 the extension class.
 
-Contractible complexes are generated by the cones K(i, n): P_i in degrees
-n and n+1 with identity differential.  A complex has such a summand exactly
+Contractible complexes are generated by the cones K(i, n), n in
+`cone_degrees()`: P_i in degrees n and next_deg(n) with identity differential.  A complex has such a summand exactly
 when some d_n has a nonzero scalar block P_i -> P_i.  Stripping removes one
 cone per such block by Gaussian elimination (a Schur complement of d_n and
 deletions from d_{n-1} and d_{n+1}), which produces the minimal model plus
@@ -140,6 +142,12 @@ class ComplexCategory:
 
     def next_deg(self, n: int) -> int | None:
         return self.wrap(n + 1)
+
+    def cone_degrees(self) -> list[int]:
+        """Degrees n with n and next_deg(n) both in degrees(): where the
+        cones K(i, n) of the window sit (lo..hi-1, or every residue)."""
+        degs = self.degrees()
+        return [n for n in degs if self.next_deg(n) in degs]
 
     def prev_deg(self, n: int) -> int | None:
         return self.wrap(n - 1)
@@ -277,8 +285,7 @@ class ComplexCategory:
     def contractible_gen(self, i: int, n: int) -> "Complex":
         """Cone on the identity of P_i placed in degrees n, n+1."""
         mults = tuple(1 if j == i else 0 for j in range(1, self.quiver.n + 1))
-        n0 = self.wrap(n)
-        n1 = self.next_deg(n) if n0 is not None else None
+        n0, n1 = self.wrap(n), self.next_deg(n)
         if n0 is None or n1 is None:
             raise WindowOverflow(f"degrees {n}, {n + 1} outside the representable range")
         p = self.proj(i)
@@ -287,30 +294,14 @@ class ComplexCategory:
 
 
 def contractible_generators(cat: ComplexCategory) -> dict[str, "Complex"]:
-    """All cone generators in the user window, keyed "P{i}@{n}".
-
-    Bounded windows pair degrees (n, n+1) inside [lo, hi]; periodic
-    categories take every residue.  Order: degree, then generator index.
-    """
-    out: dict[str, Complex] = {}
-    if cat.kind == "bounded":
-        degs = range(cat.lo, cat.hi)
-    else:
-        degs = range(cat.period)
-    for n in degs:
-        for i in range(1, cat.quiver.n + 1):
-            out[generator_key(i, n)] = cat.contractible_gen(i, n)
-    return out
+    """All cone generators in the user window, keyed "P{i}@{n}", n over
+    `cat.cone_degrees()`.  Order: degree, then generator index."""
+    return {generator_key(i, n): cat.contractible_gen(i, n)
+            for n in cat.cone_degrees() for i in range(1, cat.quiver.n + 1)}
 
 
 def generator_key(i: int, n: int) -> str:
     return f"P{i}@{n}"
-
-
-def _parse_generator_key(key: str) -> tuple[int, int]:
-    """(i, n) of a generator key made by generator_key."""
-    head, n = key.split("@")
-    return int(head[1:]), int(n)
 
 
 def _square_fault(cat: ComplexCategory, diffs: dict) -> tuple[int, int, int] | None:
@@ -481,24 +472,14 @@ def shift(x: Complex, k: int) -> Complex:
     """shift(x, k)_n = x_{n+k}, differential scaled by (-1)^k."""
     cat = x.cat
     comps = {}
-    diffs = {}
-    sign = 1 if k % 2 == 0 else -1
-    for n in x.comps:
-        n2 = cat.wrap(n - k) if cat.kind == "periodic" else n - k
-        if cat.kind == "bounded":
-            w = cat.wrap(n2)
-            if w is None:
-                raise WindowOverflow(
-                    f"shift by {k} moves degree {n} to {n2}, outside the representable range"
-                )
-            n2 = w
-        comps[n2] = x.comps[n]
-    for n in x.diffs:
-        n2 = cat.wrap(n - k) if cat.kind == "periodic" else n - k
-        d = x.diffs[n]
-        if sign == -1:
-            d = tuple(-m for m in d)
-        diffs[n2] = d
+    for n, mults in x.comps.items():
+        n2 = cat.wrap(n - k)
+        if n2 is None:
+            raise WindowOverflow(
+                f"shift by {k} moves degree {n} to {n - k}, outside the representable range"
+            )
+        comps[n2] = mults
+    diffs = {cat.wrap(n - k): tuple(-m for m in d) if k % 2 else d for n, d in x.diffs.items()}
     return Complex(cat, comps, diffs, validate=False)
 
 

@@ -6,7 +6,9 @@ the square-root extension carry the v-part in a separate "coeff_root"
 field.  Writers sort object keys and emit terms in a fixed order (exponent
 vector lexicographic, then class id), so running the same computation twice
 produces byte-identical files.  Object encodings in element files are read
-by the backend's one checked reader (`hall._Backend.read`).
+by the backend's one checked reader (`hall._Backend.read`).  A parsed dim
+cap holds only its bounds and its text: the spec's backend says which kind
+of cap it is.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from .quiver import Quiver, enumerate_reps
 
 FORMAT_VERSION = 1
 
-ALGEBRAS = ("hall", "twisted", "sdh", "sdh-tw", "dh")
+# per algebra name: its family and the method of the family's algebra object
+# (HallAlgebra for strict, SDH for torus and dh) that multiplies its elements
+_ALGEBRAS = {"hall": ("strict", "product"), "twisted": ("strict", "twisted_product"),
+             "sdh": ("torus", "product"), "sdh-tw": ("torus", "tw_product"),
+             "dh": ("dh", "dh_product")}
+ALGEBRAS = tuple(_ALGEBRAS)
 
 
 # ---- rational codec ----
@@ -490,11 +497,7 @@ def open_cache(spec: CategorySpec, no_cache: bool = False) -> FileCache:
 
 
 def algebra_family(name: str) -> str:
-    if name in ("hall", "twisted"):
-        return "strict"
-    if name in ("sdh", "sdh-tw"):
-        return "torus"
-    return "dh"
+    return _ALGEBRAS[name][0]
 
 
 class AlgebraHandle:
@@ -503,7 +506,9 @@ class AlgebraHandle:
 
     Construction rejects combinations the backend cannot support: the sdh
     family needs a complex backend, and any Euler-twisted or derived
-    product is undefined on the periodic backend.
+    product is undefined on the periodic backend.  It also fixes the
+    name's family (strict, torus or dh), the registry whose ids the terms
+    carry and the product, which the codec and `product` then read.
     """
 
     def __init__(self, spec: CategorySpec, name: str, cache=None):
@@ -512,7 +517,8 @@ class AlgebraHandle:
         self.spec = spec
         self.name = name
         self.q = spec.q
-        if spec.backend == "abelian" and algebra_family(name) != "strict":
+        self.family = algebra_family(name)
+        if spec.backend == "abelian" and self.family != "strict":
             raise SpecError(f"algebra {name!r} needs a complex backend")
         if spec.backend == "periodic":
             if name == "twisted":
@@ -521,15 +527,18 @@ class AlgebraHandle:
                 raise RelEulerUndefined("relative Euler twist undefined on the periodic backend")
             if name == "dh":
                 raise DerivedUndefined("derived product undefined on the periodic backend")
-        if algebra_family(name) == "strict":
+        if self.family == "strict":
             self.backend = spec.make_backend()
             self.hall = HallAlgebra(self.backend, cache=cache)
             self.sdh = None
+            self.registry = self.backend.registry
         else:
             from .sdh import SDH
             self.sdh = SDH(spec.complex_category(), spec.caps, cache=cache)
             self.hall = self.sdh.strict
             self.backend = self.hall.backend
+            self.registry = self.sdh.stable
+        self._product = getattr(self.hall if self.sdh is None else self.sdh, _ALGEBRAS[name][1])
 
     # -- element arithmetic --
 
@@ -540,15 +549,7 @@ class AlgebraHandle:
         return {key: Fraction(1)}
 
     def product(self, x: dict, y: dict) -> dict:
-        if self.name == "hall":
-            return self.hall.product(x, y)
-        if self.name == "twisted":
-            return self.hall.twisted_product(x, y)
-        if self.name == "sdh":
-            return self.sdh.product(x, y)
-        if self.name == "sdh-tw":
-            return self.sdh.tw_product(x, y)
-        return self.sdh.dh_product(x, y)
+        return self._product(x, y)
 
     def add(self, x: dict, y: dict) -> dict:
         return self.hall.add(x, y)
@@ -560,21 +561,15 @@ class AlgebraHandle:
 
     def sort_key(self, key):
         """(exponent vector, class id): the file term order."""
-        fam = algebra_family(self.name)
-        if fam == "torus":
-            gamma, m_id = key
-            return (tuple(gamma), m_id)
-        return ((), key)
+        return (tuple(key[0]), key[1]) if self.family == "torus" else ((), key)
 
     def key_row(self, key) -> dict:
         """Identity fields of a term: exponents, advisory id, encoding."""
-        fam = algebra_family(self.name)
-        gamma, m_id = key if fam == "torus" else ((), key)
-        reg = self.backend.registry if fam == "strict" else self.sdh.stable
+        gamma, m_id = key if self.family == "torus" else ((), key)
         return {
             "exponents": self.sdh.torus.named(gamma) if gamma else {},
             "class": m_id,
-            "encoding": reg.object(m_id).encoding(),
+            "encoding": self.registry.object(m_id).encoding(),
         }
 
     def term_to_row(self, key, coeff) -> dict:
@@ -587,13 +582,13 @@ class AlgebraHandle:
 
         The stored id is advisory; the canonical encoding is what travels
         between processes, so the object is checked and re-classified on
-        read.
+        read.  Torus exponents must be integers.
         """
         if not isinstance(row, dict) or "encoding" not in row:
             raise SpecError("term without an encoding")
         obj = self.backend.read(row["encoding"])
         coeff = coeff_from_json(row, self.q)
-        fam = family or algebra_family(self.name)
+        fam = family or self.family
         if fam == "strict":
             return self.backend.classify(obj), coeff
         if fam == "dh":
@@ -601,6 +596,9 @@ class AlgebraHandle:
         exps = row.get("exponents", {})
         if not isinstance(exps, dict):
             raise SpecError("exponents must be an object")
+        bad = [m for m in exps.values() if type(m) is not int]  # bool is not an exponent
+        if bad:
+            raise SpecError(f"torus exponent {json.dumps(bad[0])} is not an integer")
         try:
             gamma = self.sdh.torus.vector(exps)
         except KeyError as e:
@@ -644,7 +642,7 @@ def read_element(path, handle: AlgebraHandle, family=None) -> dict:
     strict-class elements through an sdh handle so both sides share one
     registry.
     """
-    family = family or algebra_family(handle.name)
+    family = family or handle.family
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: an element file must hold a JSON object")
@@ -682,8 +680,9 @@ def parse_dim_cap(spec: CategorySpec, text) -> dict:
 
     Grammar: comma-separated tokens; a bare integer is a per-vertex
     (abelian) or per-degree (complex) cap, "total:N" caps the total
-    dimension (complex backends only).  Abelian caps may list one value
-    per vertex.
+    dimension (complex backends only, at most once).  Abelian caps may
+    list one value per vertex.  The parsed cap carries no backend kind:
+    `spec.backend` is the one record of it.
     """
     if text is None:
         raise SpecError("this command needs --dim-cap")
@@ -695,6 +694,8 @@ def parse_dim_cap(spec: CategorySpec, text) -> dict:
             body = tok[len("total:"):]
             if not (body.isascii() and body.isdigit()):  # int() rejects "²"
                 raise SpecError(f"bad dim-cap token {tok!r}")
+            if total is not None:
+                raise SpecError("dim-cap takes one total: token")
             total = int(body)
         elif tok.isascii() and tok.isdigit():
             per.append(int(tok))
@@ -710,13 +711,12 @@ def parse_dim_cap(spec: CategorySpec, text) -> dict:
             dims = tuple(per)
         else:
             raise SpecError(f"abelian dim-cap needs 1 or {n} values")
-        return {"kind": "abelian", "dims": dims, "raw": str(text)}
+        return {"dims": dims, "raw": str(text)}
     if len(per) > 1:
         raise SpecError("complex dim-cap takes a single per-degree value")
     if not per and total is None:
         raise SpecError("dim-cap must set a per-degree or total value")
     return {
-        "kind": "complex",
         "max_degree_dim": per[0] if per else None,
         "max_total_dim": total,
         "raw": str(text),
@@ -725,9 +725,7 @@ def parse_dim_cap(spec: CategorySpec, text) -> dict:
 
 def grid_class_ids(handle: AlgebraHandle, cap: dict) -> list[int]:
     """Strict-backend class ids enumerated under a parsed dim cap."""
-    if cap["kind"] == "abelian":
-        if handle.spec.backend != "abelian":
-            raise SpecError("abelian dim-cap on a complex backend")
+    if handle.spec.backend == "abelian":
         reg = enumerate_reps(
             handle.spec.quiver,
             handle.backend.field,
@@ -736,8 +734,6 @@ def grid_class_ids(handle: AlgebraHandle, cap: dict) -> list[int]:
             registry=handle.backend.registry,
         )
     else:
-        if handle.spec.backend == "abelian":
-            raise SpecError("complex dim-cap on the abelian backend")
         from .complexes import enumerate_complexes
         reg = enumerate_complexes(
             handle.backend.cat,
@@ -751,15 +747,12 @@ def grid_class_ids(handle: AlgebraHandle, cap: dict) -> list[int]:
 
 def basis_keys(handle: AlgebraHandle, cap: dict) -> list:
     """Element keys of the enumerated basis classes, in canonical order."""
-    fam = algebra_family(handle.name)
-    if fam == "strict":
+    if handle.family == "strict":
         return grid_class_ids(handle, cap)
-    if cap["kind"] != "complex":
-        raise SpecError("sdh-family tables need a complex dim-cap")
     stable_ids = handle.sdh.stable_sample(
         max_degree_dim=cap["max_degree_dim"], max_total_dim=cap["max_total_dim"]
     )
-    if fam == "dh":
+    if handle.family == "dh":
         return stable_ids
     zero = handle.sdh.torus.zero()
     return [(zero, m) for m in stable_ids]

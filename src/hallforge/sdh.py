@@ -18,6 +18,11 @@ twist), so they read the strict pair records as exponents and sum through
 `hall`'s integer accumulator, and each strict class is rewritten onto the
 basis once per run.  Elements are dicts mapping (gamma, stable_id) -> Fraction.
 
+The torus has one generator per cone K(i, n), n in the category's
+`cone_degrees()`; `QuantumTorus` records each cone's (i, n, multiplicity
+vector).  The shift sends K(i, n) to K(i, wrap(n - k)), which leaves the
+window exactly when the torus has no such generator.
+
 Pairings are read off degrees, with dim Hom(x_m, y_n) between projectives
 from the quiver's Euler form (Ext^1(P, -) = 0).  The Hom complex
 Hom^p(x, y) = prod_m Hom(x_m, y_{m+p}) is finite, so its Euler
@@ -66,22 +71,20 @@ class QuantumTorus:
         self.keys = list(self.gens)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.rank = len(self.keys)
-        # per cone K(i, n): P_i's multiplicity vector, n and n + 1
-        self._cones = []
-        for k in self.keys:
-            _, n = cx._parse_generator_key(k)
-            self._cones.append((self.gens[k].mults(n), n, cat.next_deg(n)))
+        # per cone K(i, n), in key order: i, n and P_i's multiplicity vector
+        self._cones = [(i, n, self.gens[cx.generator_key(i, n)].mults(n))
+                       for n in cat.cone_degrees() for i in range(1, cat.quiver.n + 1)]
         # pairing_exp[g][h] = log_q |Hom(K_g, K_h)|
         cols = [self.hom_from(self.gens[h]) for h in self.keys]
         self.pairing_exp = [[col[g] for col in cols] for g in range(self.rank)]
 
     def hom_from(self, x: Complex) -> list:
         """log_q |Hom(K_g, x)| per generator."""
-        return [cx._proj_hom_dim(self.cat, e, x.mults(n)) for e, n, _ in self._cones]
+        return [cx._proj_hom_dim(self.cat, e, x.mults(n)) for _, n, e in self._cones]
 
     def hom_to(self, x: Complex) -> list:
         """log_q |Hom(x, K_g)| per generator."""
-        return [cx._proj_hom_dim(self.cat, x.mults(n1), e) for e, _, n1 in self._cones]
+        return [cx._proj_hom_dim(self.cat, x.mults(self.cat.next_deg(n)), e) for _, n, e in self._cones]
 
     def zero(self) -> tuple:
         return (0,) * self.rank
@@ -285,9 +288,12 @@ class SDH:
         negative-Ext exponent sum_{i=1}^{w} (-1)^(i+1) dim stable
         Hom(a, c[-i]), w the window width, and whose middles are classified
         stably.  Bounded windows only."""
-        if self.cat.kind == "periodic":
-            raise DerivedUndefined("stable-class product needs a bounded window")
+        self._bounded_only("stable-class product")
         return self.derived.product(x, y)
+
+    def _bounded_only(self, what: str) -> None:
+        if self.cat.kind == "periodic":
+            raise DerivedUndefined(f"{what} needs a bounded window")
 
     def dh_basis(self, x: Complex) -> dict:
         return {self.stable_class(x): Fraction(1)}
@@ -297,36 +303,29 @@ class SDH:
     def pushforward_shift(self, x: dict, k: int = 1) -> dict:
         """Image of an element under the shift functor.
 
-        Generators move by K_{P_i @ n}[k] = K_{P_i @ n-k}; minimal parts are
-        shifted and reclassified.  Raises WindowOverflow when the image
-        leaves a bounded window.
+        Generators move by K_{P_i @ n}[k] = K_{P_i @ wrap(n-k)}; minimal
+        parts are shifted and reclassified.  Raises WindowOverflow when the
+        image leaves the window: a moved generator the torus does not index,
+        or a shifted degree outside `degrees()`.
         """
+        torus, window = self.torus, self.cat.degrees()
         out: dict = {}
         for (gamma, m_id), co in sorted(x.items()):
-            named = self.torus.named(gamma)
-            moved = {}
-            for key, g in named.items():
-                i, n = cx._parse_generator_key(key)
-                if self.cat.kind == "periodic":
-                    tn = self.cat.wrap(n - k)
-                else:
-                    tn = n - k
-                    if not (self.cat.lo <= tn <= self.cat.hi - 1):
+            moved = [0] * torus.rank
+            for (i, n, _), g in zip(torus._cones, gamma):
+                if g:
+                    j = torus.index.get(cx.generator_key(i, self.cat.wrap(n - k)))
+                    if j is None:
                         raise WindowOverflow(
-                            f"shift moves generator {key} outside the window"
+                            f"shift moves generator {cx.generator_key(i, n)} outside the window"
                         )
-                tkey = cx.generator_key(i, tn)
-                moved[tkey] = moved.get(tkey, 0) + g
+                    moved[j] += g
             shifted = cx.shift(self.stable.object(m_id), k)
-            if self.cat.kind == "bounded":
-                window = set(self.cat.degrees())
-                if any(n not in window for n in shifted.comps):
-                    raise WindowOverflow(
-                        "shift moves a minimal part outside the window"
-                    )
+            if any(n not in window for n in shifted.comps):
+                raise WindowOverflow("shift moves a minimal part outside the window")
             if not cx.is_minimal(shifted):
                 raise SpecError("shift of a minimal complex must stay minimal")
-            key2 = (self.torus.vector(moved), self.stable.classify(shifted))
+            key2 = (tuple(moved), self.stable.classify(shifted))
             out[key2] = out.get(key2, Fraction(0)) + co
         return _prune(out)
 
@@ -339,16 +338,15 @@ class SDH:
         The system is unitriangular in the degree filtration, so the
         solution is unique when it exists.  Bounded windows only.
         """
-        if self.cat.kind == "periodic":
-            raise DerivedUndefined("class-group solve needs a bounded window")
+        self._bounded_only("class-group solve")
         obj = self.stable.object
         target = _class_sum([(obj(a_id), 1), (obj(c_id), 1), (obj(u_id), -1)])
         kappa = {}
-        for n in range(self.cat.lo, self.cat.hi):
+        for n in self.cat.cone_degrees():
             for i, g in enumerate(target.pop(n, ()), 1):
                 if g:
                     kappa[cx.generator_key(i, n)] = g
-                    target.setdefault(n + 1, [0] * self.cat.quiver.n)[i - 1] -= g
+                    target.setdefault(self.cat.next_deg(n), [0] * self.cat.quiver.n)[i - 1] -= g
         if any(any(v) for v in target.values()):
             return None
         return self.torus.vector(kappa)

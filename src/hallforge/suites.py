@@ -64,12 +64,6 @@ def _sdh_for(spec: CategorySpec, cache=None) -> SDH:
     return SDH(spec.complex_category(), spec.caps, cache=cache)
 
 
-def _cap_bounds(cap: dict) -> tuple:
-    if cap["kind"] != "complex":
-        raise SpecError("this suite needs a complex dim-cap")
-    return cap["max_degree_dim"], cap["max_total_dim"]
-
-
 # ---- individual suites ----
 
 
@@ -124,8 +118,7 @@ def _suite_lemma_ext(spec, cap, cache):
 def _suite_freeness(spec, cap, cache):
     _needs_complexes(spec, "freeness")
     sdh = _sdh_for(spec, cache)
-    max_deg, max_tot = _cap_bounds(cap)
-    res = sdh.verify_freeness(max_degree_dim=max_deg, max_total_dim=max_tot)
+    res = sdh.verify_freeness(max_degree_dim=cap["max_degree_dim"], max_total_dim=cap["max_total_dim"])
     crit = res["criteria"]
     n_obj = crit["i"]["objects"]
     rank = sdh.torus.rank
@@ -190,8 +183,7 @@ def _suite_toen(spec, cap, cache):
     if spec.backend == "periodic":
         raise RelEulerUndefined("twisted comparison undefined on the periodic backend")
     sdh = _sdh_for(spec, cache)
-    max_deg, max_tot = _cap_bounds(cap)
-    res = sdh.compare_toen(max_degree_dim=max_deg, max_total_dim=max_tot)
+    res = sdh.compare_toen(max_degree_dim=cap["max_degree_dim"], max_total_dim=cap["max_total_dim"])
     failures = []
     for f in res["failures"]:
         f = dict(f)
@@ -214,8 +206,7 @@ def _suite_shift_functor(spec, cap, cache):
     if spec.backend != "periodic":
         raise SpecError("suite 'shift-functor' needs the periodic backend")
     sdh = _sdh_for(spec, cache)
-    max_deg, max_tot = _cap_bounds(cap)
-    sample = sdh.stable_sample(max_degree_dim=max_deg, max_total_dim=max_tot)
+    sample = sdh.stable_sample(max_degree_dim=cap["max_degree_dim"], max_total_dim=cap["max_total_dim"])
     rank = sdh.torus.rank
     failures = []
     checks = 0

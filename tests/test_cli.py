@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hallforge.cli as cli
-from hallforge import complexes as cx, files, hall, sdh
+from hallforge import complexes as cx, files, hall, quiver, sdh
 from hallforge.complexes import Complex, contractible_generators, direct_sum_cx, is_minimal
 from hallforge.errors import SpecError
 from hallforge.files import AlgebraHandle, CategorySpec, write_element
@@ -293,6 +293,38 @@ def test_exit_2_on_superscript_dim_cap(tmp_path, capsys, cap):
     rc = cli.main(["table", "--spec", write_spec(tmp_path, A2_BOUNDED), "--dim-cap", cap])
     assert rc == 2
     assert "error[SPEC_INVALID]: bad dim-cap token" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["total:2,total:1", "total:1,total:2", "2,total:3,total:3"])
+def test_exit_2_on_repeated_total_dim_cap(tmp_path, capsys, cap):
+    # the last total: token used to win, while the table recorded all of them
+    out = tmp_path / "t.json"
+    rc = cli.main(["table", "--spec", write_spec(tmp_path, A2_BOUNDED_WIDE), "--algebra", "dh",
+                   "--dim-cap", cap, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error[SPEC_INVALID]: dim-cap takes one total: token\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algebra", ["sdh", "sdh-tw"])
+@pytest.mark.parametrize("exponent", [1.5, "1", None, [1], True],
+                         ids=["float", "string", "null", "list", "bool"])
+def test_exit_2_on_torus_exponent_that_is_not_an_integer(tmp_path, capsys, algebra, exponent):
+    spec = write_spec(tmp_path, A2_BOUNDED)
+    el = tmp_path / "x.json"
+    el.write_text(json.dumps({
+        "format_version": 1,
+        "kind": "element",
+        "spec_hash": CategorySpec.from_dict(A2_BOUNDED).spec_hash,
+        "algebra": algebra,
+        "terms": [{"class": 0, "coeff": "1/1", "encoding": [[], []], "exponents": {"P1@0": exponent}}],
+    }))
+    out = tmp_path / "out.json"
+    rc = cli.main(["product", "--spec", spec, str(el), str(el), "--algebra", algebra, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error[SPEC_INVALID]: torus exponent {json.dumps(exponent)} is not an integer\n"
+    assert not out.exists()
 
 
 def test_exit_2_on_unreadable_spec_or_element(tmp_path, capsys):
@@ -1281,14 +1313,16 @@ class _ReadCountingMemo(dict):
 
 
 def _count_memo_reads(monkeypatch, cls) -> list:
-    """Swap a read-counting memo for every dict attribute of each new cls
-    instance; returns the list of their {name: memo} tables."""
+    """Swap a read-counting memo for every dict attribute (slots included)
+    of each new cls instance; returns the list of their {name: memo}
+    tables."""
     made = []
     init = cls.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        memos = {k: _ReadCountingMemo(v) for k, v in vars(self).items() if type(v) is dict}
+        attrs = vars(self) if hasattr(self, "__dict__") else {k: getattr(self, k) for k in cls.__slots__}
+        memos = {k: _ReadCountingMemo(v) for k, v in attrs.items() if type(v) is dict}
         for k, v in memos.items():
             setattr(self, k, v)
         made.append(memos)
@@ -1300,19 +1334,44 @@ def _count_memo_reads(monkeypatch, cls) -> list:
 def test_every_memo_table_is_read_after_it_is_filled(tmp_path, monkeypatch, capsys):
     """No memo table is written and then never read: each table of
     ComplexCategory on a cold dh table over A2 q=2, window [0,2], cap
-    2,total:3, and HallAlgebra's pair table on a cold associativity check
-    over A2 plus an isolated vertex at cap 1 (the benchmark's two grids),
-    finds some key it stored."""
+    2,total:3, each backend's on the warm rerun of that table, SDH's on a
+    cold sdh-tw table of the same grid, and HallAlgebra's pair table and the
+    Quiver's tables on a cold associativity check over A2 plus an isolated
+    vertex at cap 1 (the benchmark's two grids), finds some key it
+    stored."""
     cats = _count_memo_reads(monkeypatch, cx.ComplexCategory)
     algebras = _count_memo_reads(monkeypatch, hall.HallAlgebra)
+    made = {cls: _count_memo_reads(monkeypatch, cls)
+            for cls in (hall.CxBackend, hall.StableBackend, sdh.SDH, quiver.Quiver)}
+
+    def unread(tables):
+        return {k: (m.fills, m.hits) for memos in tables for k, m in memos.items()
+                if m.fills and not m.hits}
+
     spec = write_spec(tmp_path, A2_BOUNDED_WIDE)
-    assert cli.main(["table", "--spec", spec, "--dim-cap", "2,total:3", "--algebra", "dh",
-                     "--out", str(tmp_path / "t.json")]) == 0
+    table = ["table", "--spec", spec, "--dim-cap", "2,total:3", "--out", str(tmp_path / "t.json")]
+    assert cli.main(table + ["--algebra", "dh"]) == 0
     (memos,) = cats
     assert {k: (m.fills, m.hits) for k, m in memos.items() if m.fills and not m.hits} == {}
     assert sorted(memos) == ["_layout_memo", "_merge_memo", "_rep_cache", "_slots_memo", "_zero_memo"]
     assert all(m.fills for m in memos.values())
+    for tables in made.values():
+        tables.clear()
+    assert cli.main(table + ["--algebra", "dh"]) == 0  # warm: reads the cached witnesses
+    assert unread(made[hall.CxBackend]) == unread(made[hall.StableBackend]) == {}
+    (stable,) = made[hall.StableBackend]
+    (strict, derived) = made[hall.CxBackend]  # StableBackend.__init__ runs CxBackend's
+    assert derived["_reads"].fills and derived["_reads"].hits
+    assert stable["_minimal"].fills and stable["_minimal"].hits
+    assert not strict["_reads"].fills  # a dh table reads no strict records
+    monkeypatch.setenv("HALLFORGE_CACHE_DIR", str(tmp_path / "tw-cache"))
+    made[sdh.SDH].clear()
+    assert cli.main(table + ["--algebra", "sdh-tw"]) == 0
+    (tw,) = made[sdh.SDH]
+    assert unread([tw]) == {}
+    assert all(tw[k].fills and tw[k].hits for k in ("_normal", "_key_classes"))
     algebras.clear()
+    made[quiver.Quiver].clear()
     abelian = write_spec(tmp_path, dict(A2_ABELIAN, quiver={"vertices": 3, "arrows": [[1, 2]]}), "abelian.json")
     assert cli.main(["verify", "associativity", "--spec", abelian, "--dim-cap", "1",
                      "--out", str(tmp_path / "r.json")]) == 0
@@ -1320,6 +1379,9 @@ def test_every_memo_table_is_read_after_it_is_filled(tmp_path, monkeypatch, caps
     tables = {k: m for memos in algebras for k, m in memos.items()}
     assert list(tables) == ["_pairs"]
     assert tables["_pairs"].fills and tables["_pairs"].hits
+    assert unread(made[quiver.Quiver]) == {}
+    for name in ("_invariants", "_factors"):
+        assert any(memos[name].fills and memos[name].hits for memos in made[quiver.Quiver]), name
 
 
 def test_cli_commands_leave_numpy_unimported(tmp_path):

@@ -462,6 +462,37 @@ def test_shift_bounded_window_guard():
     assert s.equal(s.pushforward_shift(S1, 1), S0)
 
 
+@pytest.mark.parametrize("cat", [
+    ComplexCategory(A2, F2, "bounded", lo=0, hi=2),
+    ComplexCategory(A1, F2, "periodic", period=2),
+    ComplexCategory(A2, F2, "periodic", period=3),
+], ids=["a2-bounded-0-2", "a1-periodic-2", "a2-periodic-3"])
+def test_shift_of_each_generator_is_cx_shift(cat):
+    """For every cone generator g and k = +-1, the pushforward of t_g is the
+    class of cx.shift(K_g, k), and raises WindowOverflow exactly when that
+    shift raises or leaves the window; the generators sit at cone_degrees()."""
+    s = SDH(cat)
+    gens = contractible_generators(cat)
+    assert list(gens) == s.torus.keys
+    assert sorted({n for g in gens.values() for n in g.diffs}) == cat.cone_degrees()
+    overflows = []
+    for g, key in enumerate(s.torus.keys):
+        t_g = s.torus_element(tuple(int(j == g) for j in range(s.torus.rank)))
+        for k in (1, -1):
+            try:
+                shifted = cx.shift(gens[key], k)
+            except WindowOverflow:
+                shifted = None
+            overflows.append(shifted is None or any(n not in cat.degrees() for n in shifted.comps))
+            if overflows[-1]:
+                with pytest.raises(WindowOverflow):
+                    s.pushforward_shift(t_g, k)
+            else:
+                assert s.pushforward_shift(t_g, k) == s.normalize(shifted)
+    # a bounded window loses its edge cones, a periodic one none
+    assert any(overflows) == (cat.kind == "bounded") and not all(overflows)
+
+
 # ---- closed forms against their Hom-complex definitions ----
 
 A3_LINEAR = Quiver(3, [(1, 2), (2, 3)])
